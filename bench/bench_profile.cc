@@ -97,18 +97,19 @@ int main(int argc, char** argv) {
 
     BackendProfile& profile = profiles.emplace_back();
     profile.backend = backend;
-    telemetry::install_phase_sink(&profile.phases);
-    profile::install_pmu_sink(&profile.pmu);
     profile::CounterSnapshot begin;
     profile::CounterSnapshot end;
-    counters.read(begin);
-    const auto start = telemetry::clock_now_ns();
-    const RunResult result = engine.run(init, rule, seed);
-    profile.seconds =
-        static_cast<double>(telemetry::clock_now_ns() - start) * 1e-9;
-    counters.read(end);
-    profile::install_pmu_sink(nullptr);
-    telemetry::install_phase_sink(nullptr);
+    RunResult result;
+    {
+      const telemetry::SinkScope sinks(
+          {.phases = &profile.phases, .pmu = &profile.pmu});
+      counters.read(begin);
+      const auto start = telemetry::clock_now_ns();
+      result = engine.run(init, rule, seed);
+      profile.seconds =
+          static_cast<double>(telemetry::clock_now_ns() - start) * 1e-9;
+      counters.read(end);
+    }
 
     profile.total = counters.delta(begin, end);
     profile.agent_steps = result.rounds() * (n - init.sources);

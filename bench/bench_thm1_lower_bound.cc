@@ -72,7 +72,9 @@ void run(const BenchOptions& options) {
   MetricsRegistry registry;
   OutcomeLedger ledger(&registry);
   telemetry::PhaseStats phase_stats;
-  telemetry::install_phase_sink(&phase_stats);
+  // Outlives the flight recorder's scope below, which nests inside it and
+  // adds its trace and stream to this bundle.
+  const telemetry::SinkScope phase_sink({.phases = &phase_stats});
   // Flight recorder (--trace-out= / --stream-out=): records the slow-crossing
   // timeline this bench exists to study. Destroyed (and files written) after
   // the report.
@@ -161,7 +163,6 @@ void run(const BenchOptions& options) {
   const double simulate_seconds =
       static_cast<double>(telemetry::clock_now_ns() - simulate_start_ns) *
       1e-9;
-  telemetry::install_phase_sink(nullptr);
   emit_table(table, options);
 
   std::printf("\nall cells respect the n^{1-eps} floor: %s\n",

@@ -79,7 +79,9 @@ void run(const BenchOptions& options) {
   MetricsRegistry registry;
   OutcomeLedger ledger(&registry);
   telemetry::PhaseStats phase_stats;
-  telemetry::install_phase_sink(&phase_stats);
+  // Outlives the flight recorder's scope below, which nests inside it and
+  // adds its trace and stream to this bundle.
+  const telemetry::SinkScope phase_sink({.phases = &phase_stats});
   FlightRecorderScope flight_recorder(options.recorder);
 
   Table table({"n", "reps", "mean T", "median", "p90", "T/(n ln n)",
@@ -123,7 +125,6 @@ void run(const BenchOptions& options) {
     ns.push_back(static_cast<double>(n));
     means.push_back(m.rounds.mean());
   }
-  telemetry::install_phase_sink(nullptr);
   emit_table(table, options);
 
   const LinearFit fit = loglog_fit(ns, means);

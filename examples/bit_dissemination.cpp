@@ -29,8 +29,8 @@
 int main(int argc, char** argv) {
   using namespace bitspread;
 
-  const ExampleTelemetryScope telemetry_scope(
-      parse_example_options(argc, argv));
+  const FlightRecorderScope flight_recorder(
+      FlightRecorderOptions::parse(argc, argv));
   constexpr std::uint64_t kAgents = 1 << 14;
   constexpr int kReplicates = 10;
   const SeedSequence seeds(7);

@@ -26,8 +26,8 @@
 int main(int argc, char** argv) {
   using namespace bitspread;
 
-  const ExampleTelemetryScope telemetry_scope(
-      parse_example_options(argc, argv));
+  const FlightRecorderScope flight_recorder(
+      FlightRecorderOptions::parse(argc, argv));
 
   // A hand-crafted "cautious switcher" with l = 4: an agent holding 0 needs
   // to see at least three ones to adopt 1, while an agent holding 1 gives up

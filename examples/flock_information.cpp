@@ -28,8 +28,8 @@
 int main(int argc, char** argv) {
   using namespace bitspread;
 
-  const ExampleTelemetryScope telemetry_scope(
-      parse_example_options(argc, argv));
+  const FlightRecorderScope flight_recorder(
+      FlightRecorderOptions::parse(argc, argv));
   constexpr std::uint32_t kNeighbors = 7;
   constexpr std::uint64_t kRounds = 2000;  // Generous decision budget.
 

@@ -16,7 +16,7 @@
 //   $ ./long_run --n=16384 --rounds=4000 --run-seed=7 --threads=4
 //       --checkpoint-out=/tmp/ring --checkpoint-every=64 [--resume=auto]
 //
-// Options (checkpoint/trace flags come via parse_example_options):
+// Options (checkpoint/trace flags come via FlightRecorderOptions::parse):
 //   --n=<agents>      population size            (default 16384)
 //   --rounds=<cap>    round cap                  (default 4000)
 //   --run-seed=<u64>  master seed                (default 7)
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   kernel::Backend backend = kernel::Backend::kAuto;
 
   // Split our flags from the shared telemetry/checkpoint flags so
-  // parse_example_options never warns about ours.
+  // FlightRecorderOptions::parse never warns about ours.
   std::vector<char*> shared{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const ExampleTelemetryScope telemetry_scope(parse_example_options(
+  const FlightRecorderScope flight_recorder(FlightRecorderOptions::parse(
       static_cast<int>(shared.size()), shared.data()));
 
   const MinorityDynamics minority(ell);

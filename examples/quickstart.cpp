@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace bitspread;
 
-  const ExampleTelemetryScope telemetry_scope(
-      parse_example_options(argc, argv));
+  const FlightRecorderScope flight_recorder(
+      FlightRecorderOptions::parse(argc, argv));
   constexpr std::uint64_t kAgents = 1'000'000;
 
   // The protocol: adopt the minority opinion of a random sample (ties are a

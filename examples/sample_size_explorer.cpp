@@ -26,8 +26,8 @@
 int main(int argc, char** argv) {
   using namespace bitspread;
 
-  const ExampleTelemetryScope telemetry_scope(
-      parse_example_options(argc, argv));
+  const FlightRecorderScope flight_recorder(
+      FlightRecorderOptions::parse(argc, argv));
   const int log2_n =
       argc > 1 && argv[1][0] != '-' ? std::atoi(argv[1]) : 14;
   const std::uint64_t n = std::uint64_t{1} << log2_n;

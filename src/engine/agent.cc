@@ -192,7 +192,7 @@ void AgentParallelEngine::step(Population& population, Rng& rng) const {
     population.snapshot[i] = population.views[i].opinion;
   }
 
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   const Topology& topo = topology_of(population);
   for (std::uint64_t i = population.sources; i < n; ++i) {
     const std::uint32_t ones_seen =
@@ -221,7 +221,7 @@ void AgentParallelEngine::step_faulty(Population& population,
     population.snapshot[i] = population.views[i].opinion;
   }
 
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   const Topology& topo = topology_of(population);
   for (std::uint64_t i = population.sources; i < n; ++i) {
     if (session.is_zealot(i)) continue;

@@ -98,7 +98,7 @@ Configuration AggregateParallelEngine::step(const Configuration& config,
       protocol_->aggregate_adoption(Opinion::kOne, p, config.n);
   const double p0 =
       protocol_->aggregate_adoption(Opinion::kZero, p, config.n);
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   const std::uint64_t stay_or_switch_to_one =
       binomial(rng, config.non_source_ones(), p1) +
       binomial(rng, config.non_source_zeros(), p0);

@@ -27,7 +27,7 @@ struct AlphaStepper {
     const double p = state.fraction_ones();
     const double p1 = protocol.aggregate_adoption(Opinion::kOne, p, state.n);
     const double p0 = protocol.aggregate_adoption(Opinion::kZero, p, state.n);
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
     const std::uint64_t active_ones =
         binomial(rng, state.non_source_ones(), engine.alpha());
     const std::uint64_t active_zeros =
@@ -60,7 +60,7 @@ struct AlphaFaultyStepper {
     const double p = state.fraction_ones();
     const double p1 = noisy.aggregate_adoption(Opinion::kOne, p, state.n);
     const double p0 = noisy.aggregate_adoption(Opinion::kZero, p, state.n);
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
     const std::uint64_t free_ones = session.free_ones(state);
     const std::uint64_t free_zeros = session.free_zeros(state);
     const std::uint64_t active_ones = binomial(rng, free_ones, engine.alpha());

@@ -76,7 +76,7 @@ ConflictingConfiguration ConflictingAggregateEngine::step(
   const double p = config.fraction_ones();
   const double p1 = protocol_->aggregate_adoption(Opinion::kOne, p, config.n);
   const double p0 = protocol_->aggregate_adoption(Opinion::kZero, p, config.n);
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   ConflictingConfiguration next = config;
   next.ones = config.stubborn_ones + binomial(rng, config.free_ones(), p1) +
               binomial(rng, config.free_zeros(), p0);

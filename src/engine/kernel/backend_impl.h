@@ -138,7 +138,7 @@ inline void fill_distinct_indices(const BlockArgs& a, LaneRng& lanes,
 
 template <typename Filler>
 void process_block_impl(const BlockArgs& a) {
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   // Sub-phase attribution (gather/fault/decide/commit). Sink pointers are
   // resolved once per block; with no sink installed every enter() below is
   // a dead branch. Markers read clocks and counters only — they never touch

@@ -58,7 +58,6 @@
 #include "engine/trajectory.h"
 #include "faults/session.h"
 #include "obs/progress.h"
-#include "profile/counters.h"
 #include "snapshot/checkpoint.h"
 #include "telemetry/telemetry.h"
 
@@ -225,16 +224,15 @@ class RunDriver {
       if (session != nullptr) session->observe(0, config);
     }
 
-    // Resolved once per run: sink installation must not race a running
-    // engine (the install_pmu_sink contract), and the tightest tick loops
-    // (aggregate rounds are ~250 ns) construct four PmuScopes per tick —
-    // per-scope atomic loads would be measurable there.
-    profile::PmuPhaseStats* const pmu_stats = profile::pmu_sink();
+    // The sink bundle, resolved once per run: a SinkScope must not begin or
+    // end while an engine runs, and the tightest tick loops (aggregate
+    // rounds are ~250 ns) open several probes per tick.
+    const telemetry::Sinks& bundle = telemetry::sinks();
 
-    // Live-progress publisher (obs/progress.h), resolved once like the PMU
-    // sink. With no board installed (no --listen) this is a null check per
-    // round boundary and nothing else; with one, it publishes a seqlock
-    // record at an adaptive stride the introspection server reads.
+    // Live-progress publisher (obs/progress.h). With no board in the bundle
+    // (no --listen) this is a null check per round boundary and nothing
+    // else; with one, it publishes a seqlock record at an adaptive stride
+    // the introspection server reads.
     const char* progress_tag = "engine";
     if constexpr (requires {
                     { Stepper::kSnapshotTag } -> std::convertible_to<
@@ -242,8 +240,9 @@ class RunDriver {
                   }) {
       progress_tag = Stepper::kSnapshotTag;
     }
-    obs::RunProgressScope progress(progress_tag, rule.max_rounds,
-                                   stepper.config().n, session != nullptr);
+    obs::RunProgressScope progress(bundle.progress, progress_tag,
+                                   rule.max_rounds, stepper.config().n,
+                                   session != nullptr);
     progress.on_round(tick / tpr, stepper.config().ones, stepper.config().n,
                       session);
 
@@ -266,16 +265,14 @@ class RunDriver {
       // Source flips land on entry to a parallel round.
       if (session != nullptr && tick % tpr == 0 &&
           session->flip_due(tick / tpr)) {
-        const telemetry::ScopedTimer timer(telemetry::Phase::kFaultApply);
-        const profile::PmuScope pmu(telemetry::Phase::kFaultApply, pmu_stats);
+        const telemetry::Probe probe(telemetry::Phase::kFaultApply, bundle);
         session->apply_flip(tick / tpr, stepper.config());
         if constexpr (requires { stepper.sync_flip(); }) {
           stepper.sync_flip();
         }
       }
       {
-        const telemetry::ScopedTimer timer(telemetry::Phase::kStopCheck);
-        const profile::PmuScope pmu(telemetry::Phase::kStopCheck, pmu_stats);
+        const telemetry::Probe probe(telemetry::Phase::kStopCheck, bundle);
         std::optional<StopReason> reason;
         if constexpr (requires { stepper.evaluate(rule); }) {
           reason = stepper.evaluate(rule);
@@ -295,19 +292,17 @@ class RunDriver {
         break;
       }
       {
-        // The PMU scope counts the driver thread: exact for single-threaded
+        // The probe counts the driver thread: exact for single-threaded
         // steppers; under pool fan-out the workers' kernel sub-phase probes
         // carry the worker-side attribution.
-        const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
-        const profile::PmuScope pmu(telemetry::Phase::kRoundStep, pmu_stats);
+        const telemetry::Probe probe(telemetry::Phase::kRoundStep, bundle);
         stepper.step(tick);
       }
       ++tick;
       if (tick % tpr == 0) {
         const std::uint64_t round = tick / tpr;
         if (session != nullptr) {
-          const telemetry::ScopedTimer timer(telemetry::Phase::kFaultApply);
-          const profile::PmuScope pmu(telemetry::Phase::kFaultApply, pmu_stats);
+          const telemetry::Probe probe(telemetry::Phase::kFaultApply, bundle);
           if constexpr (requires { stepper.end_round(round); }) {
             stepper.end_round(round);
           }

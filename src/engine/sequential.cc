@@ -106,7 +106,7 @@ Configuration SequentialEngine::step(const Configuration& config,
   const std::uint32_t ell = protocol_->sample_size(config.n);
   std::uint32_t ones_seen;
   {
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
     ones_seen = static_cast<std::uint32_t>(
         binomial(rng, ell, config.fraction_ones()));
   }

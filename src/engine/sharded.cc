@@ -311,7 +311,7 @@ void ShardedAgentEngine::process_block(Population& population,
                                        std::uint64_t block, std::uint32_t ell,
                                        Rng& rng,
                                        FloydSampler& sampler) const {
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   const std::uint64_t n = population.n_;
   const std::uint64_t sources = population.sources_;
   const std::uint64_t words = population.current_.size();
@@ -372,7 +372,7 @@ void ShardedAgentEngine::process_block_faulty(Population& population,
                                               const FaultSession& session,
                                               Rng& rng,
                                               FloydSampler& sampler) const {
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   const EnvironmentModel& model = session.model();
   const double epsilon = model.observation_noise;
   const double eta = model.spontaneous_rate;

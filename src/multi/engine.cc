@@ -151,7 +151,7 @@ struct MultiAggregateFaultyStepper {
     MultiConfiguration next = state;
     next.counts.assign(m, 0);
     next.counts[state.correct] = state.sources;
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
     for (std::uint32_t own = 0; own < m; ++own) {
       const std::uint64_t movers = state.non_source_count(own);
       if (movers == 0) continue;
@@ -277,7 +277,7 @@ MultiConfiguration MultiAggregateEngine::step(const MultiConfiguration& config,
   next.counts.assign(m, 0);
   next.counts[config.correct] = config.sources;
 
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const telemetry::Probe draw_probe(telemetry::Phase::kSampleDraw);
   for (std::uint32_t own = 0; own < m; ++own) {
     const std::uint64_t movers = config.non_source_count(own);
     if (movers == 0) continue;

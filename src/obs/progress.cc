@@ -11,8 +11,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<ProgressBoard*> g_board{nullptr};
-
 // Stride adaptation targets roughly this many publishes per second: frequent
 // enough that a 1 Hz poller never reads a stale round, rare enough that even
 // a 40 ns aggregate round pays only a compare per round.
@@ -21,14 +19,6 @@ constexpr double kMaxPublishGapSeconds = 0.25;
 constexpr std::uint64_t kMaxStride = std::uint64_t{1} << 20;
 
 }  // namespace
-
-void install_progress_board(ProgressBoard* board) noexcept {
-  g_board.store(board, std::memory_order_release);
-}
-
-ProgressBoard* progress_board() noexcept {
-  return g_board.load(std::memory_order_acquire);
-}
 
 std::size_t ProgressBoard::claim(const char* engine, std::uint64_t max_rounds,
                                  std::uint64_t n, bool faulty,
@@ -147,10 +137,10 @@ std::vector<ProgressRecord> ProgressBoard::read() const {
   return out;
 }
 
-RunProgressScope::RunProgressScope(const char* engine,
+RunProgressScope::RunProgressScope(ProgressBoard* board, const char* engine,
                                    std::uint64_t max_rounds, std::uint64_t n,
                                    bool faulty) noexcept
-    : board_(progress_board()) {
+    : board_(board) {
   if (board_ == nullptr) return;
   const std::uint64_t now = telemetry::clock_now_ns();
   slot_ = board_->claim(engine, max_rounds, n, faulty, now);

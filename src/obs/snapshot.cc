@@ -6,11 +6,17 @@ namespace bitspread {
 namespace obs {
 
 MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
+  // Held for the whole capture: no SinkScope can end, and free the sinks it
+  // installed, while this reads them.
+  const auto lock = telemetry::lock_sinks();
+  const telemetry::Sinks& bundle = telemetry::sinks();
   MetricsSnapshot snap;
   snap.captured_ns = telemetry::clock_now_ns();
   snap.registry = registry.snapshot();
 
-  if (const telemetry::PhaseStats* phases = telemetry::phase_sink()) {
+  // Phase rows exist only where probes can feed them.
+  if (const telemetry::PhaseStats* phases =
+          telemetry::kCompiledIn ? bundle.phases : nullptr) {
     snap.phases_present = true;
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
       const auto phase = static_cast<telemetry::Phase>(i);
@@ -19,7 +25,7 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
     }
   }
 
-  if (const profile::PmuPhaseStats* pmu = profile::pmu_sink()) {
+  if (const profile::PmuPhaseStats* pmu = bundle.pmu) {
     snap.pmu_present = true;
     snap.pmu_backed = pmu->pmu_backed();
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
@@ -39,7 +45,7 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
     }
   }
 
-  if (const ProgressBoard* board = progress_board()) {
+  if (const ProgressBoard* board = bundle.progress) {
     snap.runs = board->read();
     snap.runs_started = board->runs_started();
     snap.runs_finished = board->runs_finished();

@@ -1,6 +1,6 @@
 // MetricsSnapshot: one consistent, lock-brief copy of everything the
-// process knows about itself — registry counters/gauges/histograms, the
-// installed wall-clock phase sink, the installed PMU sink, and the progress
+// process knows about itself — registry counters/gauges/histograms and the
+// installed sink bundle's wall-clock phase sink, PMU sink and progress
 // board — without perturbing any write path.
 //
 // Consistency model (DESIGN.md §3.9): each source is internally consistent,
@@ -11,6 +11,8 @@
 // through); progress records are seqlock-consistent per slot. A scrape
 // therefore never shows a torn counter, but two counters can straddle a
 // probe that fired mid-capture. That is the standard Prometheus contract.
+// The capture holds the SinkScope install lock throughout, so the bundle it
+// reads — and every sink in it — outlives the read.
 #ifndef BITSPREAD_OBS_SNAPSHOT_H_
 #define BITSPREAD_OBS_SNAPSHOT_H_
 
@@ -58,8 +60,9 @@ struct MetricsSnapshot {
   std::uint64_t captured_ns = 0;  // Steady-clock ns at capture.
 };
 
-// Captures from `registry` plus whatever sinks/board are installed
-// process-wide. Safe to call from any thread at any time.
+// Captures from `registry` plus the installed sink bundle. Safe to call
+// from any thread at any time; a SinkScope beginning or ending meanwhile
+// waits for the capture to finish.
 MetricsSnapshot capture_metrics(
     MetricsRegistry& registry = MetricsRegistry::global());
 

@@ -1,21 +1,23 @@
-// Per-phase hardware-counter attribution: the PMU sink and its probes.
+// Per-phase hardware-counter attribution: the PMU sink and the kernel
+// sub-phase profiler.
 //
-// This is the third sink beside PhaseStats (nanoseconds) and the
-// TraceRecorder (timelines): a PmuPhaseStats accumulates multiplex-scaled
-// counter deltas per telemetry::Phase — including the kernel sub-phases
-// gather/decide/fault/commit — so a profiled run can report IPC and
-// LLC-miss-per-agent-step for exactly the regions the wall-clock probes
-// already name.
+// A PmuPhaseStats is the bundle's `pmu` sink (telemetry::Sinks) beside
+// PhaseStats (nanoseconds) and the TraceRecorder (timelines): it
+// accumulates multiplex-scaled counter deltas per telemetry::Phase —
+// including the kernel sub-phases gather/decide/fault/commit — so a
+// profiled run can report IPC and LLC-miss-per-agent-step for exactly the
+// regions the wall-clock probes already name. telemetry::Probe feeds it at
+// every driver, sampling and pool-dispatch site; KernelBlockProfiler feeds
+// the kernel sub-phases.
 //
-// The probes obey the same two-gate discipline as ScopedTimer
-// (telemetry/telemetry.h):
+// The probes obey the two-gate discipline of telemetry/telemetry.h:
 //
-//  1. *Compile time.* PmuScope / KernelBlockProfiler are empty objects
+//  1. *Compile time.* Probe / KernelBlockProfiler are empty objects
 //     without -DBITSPREAD_TELEMETRY; the default build's hot paths are
 //     untouched.
-//  2. *Run time.* Compiled-in probes are dormant until install_pmu_sink()
-//     points at a PmuPhaseStats: an unsinked probe costs one relaxed
-//     atomic pointer load and never issues a read(2). The CI overhead gate
+//  2. *Run time.* Compiled-in probes are dormant until the installed
+//     bundle holds a sink: an unsinked probe costs one pointer load and
+//     never issues a read(2). The CI overhead gate
 //     (tools/check_telemetry_overhead.py) holds the enabled-but-unsinked
 //     build within the same <5% budget as the wall-clock probes.
 //
@@ -122,14 +124,6 @@ class PmuPhaseStats {
   std::atomic<bool> pmu_backed_{false};
 };
 
-// Installs (or, with nullptr, removes) the process-wide PMU sink. Same
-// ownership contract as install_phase_sink: the caller keeps the sink alive
-// until uninstalled, and installation must not race a running engine.
-// Installing works in every build; only telemetry builds have probes that
-// feed it.
-void install_pmu_sink(PmuPhaseStats* sink) noexcept;
-PmuPhaseStats* pmu_sink() noexcept;
-
 // JSON rendering of a sink's totals (the --pmu-out= payload and the
 // "profiles" rows of bench_profile): one row per phase with samples,
 // wall seconds, each counted counter, derived IPC, and multiplex/fallback
@@ -139,111 +133,57 @@ JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
 
 #ifdef BITSPREAD_TELEMETRY
 
-// RAII probe: attributes the counter delta over its lifetime to `phase` on
-// the installed PMU sink. One read(2) pair when sinked; one relaxed load
-// when not. Used by the RunDriver beside its ScopedTimers. Tight tick
-// loops (aggregate rounds are ~250 ns) pass a pre-resolved sink via the
-// two-argument form so the atomic load happens once per run, not once per
-// scope; sink installation must not race a running engine either way.
-class PmuScope {
- public:
-  explicit PmuScope(telemetry::Phase phase) noexcept
-      : PmuScope(phase, pmu_sink()) {}
-  PmuScope(telemetry::Phase phase, PmuPhaseStats* sink) noexcept
-      : sink_(sink), phase_(phase) {
-    if (sink_ != nullptr) {
-      set_ = &thread_counters();
-      set_->read(begin_);
-    }
-  }
-  ~PmuScope() {
-    if (sink_ == nullptr) return;
-    CounterSnapshot end;
-    set_->read(end);
-    sink_->add(phase_, set_->delta(begin_, end));
-  }
-  PmuScope(const PmuScope&) = delete;
-  PmuScope& operator=(const PmuScope&) = delete;
-
- private:
-  PmuPhaseStats* sink_;
-  PmuCounterSet* set_ = nullptr;
-  telemetry::Phase phase_;
-  CounterSnapshot begin_;
-};
-
-// Sub-phase marker for the kernel hot loop. The sink pointers are resolved
-// ONCE per block (the word loop calls enter() several times per 64-agent
-// word, so per-call atomic loads would be the dominant cost); when neither
-// the wall-clock nor the PMU sink is installed every call is a predicted
-// no-op branch. PMU reads happen only when the PMU sink is installed;
-// wall-clock nanoseconds also feed the plain phase sink so `phases` rows
-// carry the sub-phase split even on no-PMU hosts.
+// Sub-phase marker for the kernel hot loop. The bundle is resolved ONCE
+// per block (the word loop calls enter() several times per 64-agent word,
+// so per-call loads would be the dominant cost); when it holds neither a
+// phase nor a PMU sink every call is a predicted no-op branch. Each mark
+// takes one telemetry::take_reading, which closes the open sub-phase and
+// opens the next. Wall-clock nanoseconds also feed the phase sink, so
+// `phases` rows carry the sub-phase split even on no-PMU hosts.
 class KernelBlockProfiler {
  public:
   KernelBlockProfiler() noexcept
-      : pmu_(pmu_sink()), phases_(telemetry::phase_sink()) {
-    active_ = pmu_ != nullptr || phases_ != nullptr;
-    if (active_) {
-      if (pmu_ != nullptr) {
-        set_ = &thread_counters();
-        set_->read(last_);
-      }
-      last_ns_ = telemetry::clock_now_ns();
-    }
-  }
+      : bundle_(telemetry::sinks()),
+        active_(bundle_.phases != nullptr || bundle_.pmu != nullptr) {}
   ~KernelBlockProfiler() { leave(); }
   KernelBlockProfiler(const KernelBlockProfiler&) = delete;
   KernelBlockProfiler& operator=(const KernelBlockProfiler&) = delete;
 
   // Closes the open sub-phase (if any) and opens `phase`.
   void enter(telemetry::Phase phase) noexcept {
-    if (!active_) return;
-    mark(true, phase);
+    if (active_) mark(true, phase);
   }
   // Closes the open sub-phase; subsequent work is unattributed until the
   // next enter().
   void leave() noexcept {
-    if (!active_ || !open_) return;
-    mark(false, telemetry::Phase::kCount);
+    if (open_) mark(false, telemetry::Phase::kCount);
   }
 
  private:
   void mark(bool opening, telemetry::Phase next) noexcept {
-    const std::uint64_t now_ns = telemetry::clock_now_ns();
     CounterSnapshot now;
-    if (set_ != nullptr) set_->read(now);
+    telemetry::take_reading(bundle_, now);
     if (open_) {
-      if (phases_ != nullptr) phases_->add(current_, now_ns - last_ns_);
-      if (pmu_ != nullptr && set_ != nullptr) {
-        pmu_->add(current_, set_->delta(last_, now));
+      if (bundle_.phases != nullptr) {
+        bundle_.phases->add(current_, now.wall_ns - last_.wall_ns);
+      }
+      if (bundle_.pmu != nullptr) {
+        bundle_.pmu->add(current_, thread_counters().delta(last_, now));
       }
     }
     open_ = opening;
     current_ = next;
-    last_ns_ = now_ns;
     last_ = now;
   }
 
-  PmuPhaseStats* pmu_;
-  telemetry::PhaseStats* phases_;
-  PmuCounterSet* set_ = nullptr;
-  bool active_ = false;
+  const telemetry::Sinks& bundle_;
+  const bool active_;  // Some sink to feed; the per-word fast-path test.
   bool open_ = false;
   telemetry::Phase current_ = telemetry::Phase::kCount;
-  std::uint64_t last_ns_ = 0;
   CounterSnapshot last_;
 };
 
 #else  // !BITSPREAD_TELEMETRY
-
-class PmuScope {
- public:
-  explicit PmuScope(telemetry::Phase /*phase*/) noexcept {}
-  PmuScope(telemetry::Phase /*phase*/, PmuPhaseStats* /*sink*/) noexcept {}
-  PmuScope(const PmuScope&) = delete;
-  PmuScope& operator=(const PmuScope&) = delete;
-};
 
 class KernelBlockProfiler {
  public:

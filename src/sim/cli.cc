@@ -15,8 +15,15 @@
 
 namespace bitspread {
 
-bool FlightRecorderOptions::parse_flag(const std::string& arg) {
-  if (arg.rfind("--trace-out=", 0) == 0) {
+bool FlightRecorderOptions::parse_flag(int argc, char** argv, int& i) {
+  const std::string arg = argv[i];
+  if (arg == "--trace") {
+    trace = true;
+  } else if (arg == "--metrics-out" && i + 1 < argc) {
+    metrics_out = argv[++i];
+  } else if (arg.rfind("--metrics-out=", 0) == 0) {
+    metrics_out = arg.substr(14);
+  } else if (arg.rfind("--trace-out=", 0) == 0) {
     trace_out = arg.substr(12);
   } else if (arg.rfind("--stream-out=", 0) == 0) {
     stream_out = arg.substr(13);
@@ -48,6 +55,18 @@ bool FlightRecorderOptions::parse_flag(const std::string& arg) {
   return true;
 }
 
+FlightRecorderOptions FlightRecorderOptions::parse(int argc, char** argv) {
+  FlightRecorderOptions options;
+  for (int i = 1; i < argc; ++i) {
+    if (!options.parse_flag(argc, argv, i) &&
+        std::strncmp(argv[i], "--", 2) == 0) {
+      // Positional arguments stay the caller's business.
+      std::cerr << "warning: unknown option '" << argv[i] << "' ignored\n";
+    }
+  }
+  return options;
+}
+
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions options;
   options.seed = master_seed_from_env();
@@ -65,7 +84,7 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       options.replicates = std::atoi(arg.c_str() + 7);
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
-    } else if (options.recorder.parse_flag(arg)) {
+    } else if (options.recorder.parse_flag(argc, argv, i)) {
       // Consumed by the flight recorder.
     } else if (arg.rfind("--csv=", 0) == 0) {
       std::cerr << "warning: --csv= has been removed; the unified --json "
@@ -145,31 +164,31 @@ void OutcomeLedger::report(std::ostream& out) const {
   out << "\n";
 }
 
-ExampleOptions parse_example_options(int argc, char** argv) {
-  ExampleOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace") {
-      options.trace = true;
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      options.metrics_out = argv[++i];
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options.metrics_out = arg.substr(14);
-    } else if (options.recorder.parse_flag(arg)) {
-      // Consumed by the flight recorder.
-    } else if (arg.rfind("--", 0) == 0) {
-      // Positional arguments stay the example's business.
-      std::cerr << "warning: unknown option '" << arg << "' ignored\n";
-    }
+namespace {
+
+// One stderr line per artifact the scope writes.
+void report_artifact(bool ok, const char* what, const std::string& path,
+                     const std::string& detail = "") {
+  if (ok) {
+    std::cerr << "[" << what << " written to " << path << detail << "]\n";
+  } else {
+    std::cerr << "[failed to write " << what << " to " << path << "]\n";
   }
-  return options;
 }
+
+void telemetry_note(const char* flags) {
+  std::cerr << "note: " << flags << " has no effect (build with "
+            << "-DBITSPREAD_TELEMETRY=ON)\n";
+}
+
+}  // namespace
 
 FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     : options_(std::move(options)) {
+  telemetry::Sinks bundle;
   // Checkpointer first (independent of telemetry): a loaded resume decides
   // how the JSONL stream opens below.
-  if (options_.checkpoint_requested()) {
+  if (options_.checkpoint_out || options_.resume) {
     snapshot::CheckpointOptions checkpoint_options;
     checkpoint_options.path = options_.checkpoint_out.value_or("checkpoint");
     checkpoint_options.every = options_.checkpoint_every;
@@ -192,17 +211,16 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
   // at the next round boundary and this scope's destructor flushes. A
   // --listen run joins in so its server shuts down cleanly on SIGTERM (the
   // CI introspection job scrapes a long run, then terminates it).
-  if (options_.requested() || options_.profiling_requested() ||
-      options_.listen_requested() || checkpointer_ != nullptr) {
+  if (options_.requested() || options_.pmu_out || options_.profile_out ||
+      options_.listen || checkpointer_ != nullptr) {
     snapshot::install_interrupt_handlers();
   }
-  // Introspection server (--listen=; any build). The board is installed
+  // Introspection server (--listen=; any build). The board joins the bundle
   // before any run starts so every RunDriver claims a progress slot; the
   // hub exists only in telemetry builds (record_round is compiled out
   // otherwise, so /stream correctly reports 503 there).
-  if (options_.listen_requested()) {
+  if (options_.listen) {
     progress_board_ = std::make_unique<obs::ProgressBoard>();
-    obs::install_progress_board(progress_board_.get());
     if (telemetry::kCompiledIn) {
       stream_hub_ = std::make_unique<obs::StreamHub>();
     }
@@ -214,22 +232,64 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       std::cerr << "[obs] " << server_->error() << "; exporter disabled\n";
       server_.reset();
       stream_hub_.reset();
-      obs::install_progress_board(nullptr);
       progress_board_.reset();
     }
+    bundle.progress = progress_board_.get();
   }
-  if (options_.pmu_out) {
-    if (telemetry::kCompiledIn) {
-      // Touching the main thread's counter set here (not in the destructor)
-      // surfaces a perf_event_open failure before the run, not after it.
-      profile::thread_counters();
-      profile::install_pmu_sink(&pmu_stats_);
-      pmu_installed_ = true;
+  if (options_.trace && telemetry::kCompiledIn) {
+    // A bench that installed its own phase sink keeps it; the table then
+    // prints that sink.
+    phase_table_ = telemetry::sinks().phases;
+    if (phase_table_ == nullptr) phase_table_ = bundle.phases = &phase_stats_;
+  } else if (options_.trace) {
+    telemetry_note("--trace");
+  }
+  if (options_.pmu_out && telemetry::kCompiledIn) {
+    // Touching the main thread's counter set here (not in the destructor)
+    // surfaces a perf_event_open failure before the run, not after it.
+    profile::thread_counters();
+    bundle.pmu = &pmu_stats_;
+  } else if (options_.pmu_out) {
+    telemetry_note("--pmu-out");
+  }
+  if (options_.requested() && !telemetry::kCompiledIn) {
+    telemetry_note("--trace-out/--stream-out");
+  } else if (options_.requested() || stream_hub_ != nullptr) {
+    if (options_.trace_out) {
+      telemetry::TraceRecorder::Options trace_options;
+      trace_options.capacity = options_.trace_buffer;
+      recorder_ = std::make_unique<telemetry::TraceRecorder>(trace_options);
+      bundle.trace = recorder_.get();
+    }
+    if (options_.stream_out) {
+      telemetry::RoundStream::Options stream_options;
+      stream_options.stride = options_.stream_stride;
+      // A resumed run appends to the stream of the interrupted one, with the
+      // counters seeded from the snapshot so accounting spans both segments.
+      const snapshot::RunSnapshot* resume_snap =
+          checkpointer_ != nullptr ? checkpointer_->pending_resume() : nullptr;
+      stream_options.append = resume_snap != nullptr;
+      stream_ = std::make_unique<telemetry::RoundStream>(*options_.stream_out,
+                                                         stream_options);
+      if (!stream_->ok()) {
+        std::cerr << "[failed to open stream " << *options_.stream_out
+                  << "]\n";
+        stream_.reset();
+      } else if (resume_snap != nullptr) {
+        stream_->restore_counts(resume_snap->stream_rounds_seen,
+                                resume_snap->stream_lines);
+      }
+    }
+    // One round sink: the hub (teeing to the file stream AND /stream
+    // subscribers) when the server is up, the file stream alone otherwise.
+    if (stream_hub_ != nullptr) {
+      stream_hub_->set_inner(stream_.get());
+      bundle.rounds = stream_hub_.get();
     } else {
-      std::cerr << "note: --pmu-out has no effect (build with "
-                   "-DBITSPREAD_TELEMETRY=ON)\n";
+      bundle.rounds = stream_.get();
     }
   }
+  sinks_.emplace(bundle);
   if (options_.profile_out) {
     // Sampling needs no telemetry build and no PMU — SIGPROF + frame
     // pointers only. Started last so profiler samples cover the run, not
@@ -241,54 +301,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       profiler_.reset();
     }
   }
-  if (!options_.requested() && stream_hub_ == nullptr) return;
-  if (!telemetry::kCompiledIn) {
-    if (options_.requested()) {
-      std::cerr << "note: --trace-out/--stream-out have no effect (build "
-                   "with -DBITSPREAD_TELEMETRY=ON)\n";
-    }
-    return;
-  }
-  // Deliberately NO exporter-owned phase sink: an installed PhaseStats
-  // activates every ScopedTimer and the per-word kernel sub-phase markers,
-  // and on engines whose rounds are O(1) (aggregate: ~200ns/round) the
-  // clock reads alone cost >30% — far past the 5% exporter budget
-  // (DESIGN.md §3.9). /metrics carries phase rows exactly when the binary
-  // opted into probes itself (an example's --trace, bench_profile's sink);
-  // a bare --listen run reports phases_present=false instead of silently
-  // slowing the simulation it is watching.
-  if (options_.trace_out) {
-    telemetry::TraceRecorder::Options trace_options;
-    trace_options.capacity = options_.trace_buffer;
-    recorder_ = std::make_unique<telemetry::TraceRecorder>(trace_options);
-    telemetry::install_trace_recorder(recorder_.get());
-  }
-  if (options_.stream_out) {
-    telemetry::RoundStream::Options stream_options;
-    stream_options.stride = options_.stream_stride;
-    // A resumed run appends to the stream of the interrupted one, with the
-    // counters seeded from the snapshot so accounting spans both segments.
-    const snapshot::RunSnapshot* resume_snap =
-        checkpointer_ != nullptr ? checkpointer_->pending_resume() : nullptr;
-    stream_options.append = resume_snap != nullptr;
-    stream_ = std::make_unique<telemetry::RoundStream>(*options_.stream_out,
-                                                       stream_options);
-    if (!stream_->ok()) {
-      std::cerr << "[failed to open stream " << *options_.stream_out << "]\n";
-      stream_.reset();
-    } else if (resume_snap != nullptr) {
-      stream_->restore_counts(resume_snap->stream_rounds_seen,
-                              resume_snap->stream_lines);
-    }
-  }
-  // One round sink: the hub (teeing to the file stream AND /stream
-  // subscribers) when the server is up, the file stream alone otherwise.
-  if (stream_hub_ != nullptr) {
-    stream_hub_->set_inner(stream_.get());
-    telemetry::install_round_sink(stream_hub_.get());
-  } else if (stream_ != nullptr) {
-    telemetry::install_round_sink(stream_.get());
-  }
 }
 
 void FlightRecorderScope::set_bias(std::function<double(double)> bias) {
@@ -296,71 +308,66 @@ void FlightRecorderScope::set_bias(std::function<double(double)> bias) {
 }
 
 FlightRecorderScope::~FlightRecorderScope() {
-  // The server goes down FIRST so no scrape races the sink teardown below,
-  // then the hub is uninstalled before the file stream flushes.
+  // The server goes down FIRST, so no scrape reads what is torn down below.
   if (server_ != nullptr) {
     std::cerr << "[obs] exporter on http://" << server_->address() << ":"
               << server_->port() << " served " << server_->scrapes()
               << " scrape(s)]\n";
     server_.reset();
   }
-  if (stream_hub_ != nullptr) {
-    telemetry::install_round_sink(nullptr);
-  }
   if (profiler_ != nullptr) {
     profiler_->stop();
-    if (profiler_->write_folded(*options_.profile_out)) {
-      std::cerr << "[profile written to " << *options_.profile_out << ": "
-                << profiler_->samples_taken() << " samples";
-      if (profiler_->samples_dropped() > 0) {
-        std::cerr << ", " << profiler_->samples_dropped()
-                  << " dropped (buffer full)";
-      }
-      std::cerr << "]\n";
+    std::string detail =
+        ": " + std::to_string(profiler_->samples_taken()) + " samples";
+    if (profiler_->samples_dropped() > 0) {
+      detail += ", " + std::to_string(profiler_->samples_dropped()) +
+                " dropped (buffer full)";
     }
+    report_artifact(profiler_->write_folded(*options_.profile_out), "profile",
+                    *options_.profile_out, detail);
   }
-  if (pmu_installed_) {
-    profile::install_pmu_sink(nullptr);
+  // Every sink leaves the bundle at once; the outputs are written after.
+  sinks_.reset();
+  if (options_.pmu_out && telemetry::kCompiledIn) {
     const profile::PmuCounterSet& set = profile::thread_counters();
     std::ofstream out(*options_.pmu_out);
-    if (out) {
-      out << profile::pmu_stats_to_json(pmu_stats_, set.available(),
-                                        set.unavailable_reason())
-                 .dump();
-      std::cerr << "[pmu counters written to " << *options_.pmu_out
-                << (set.available() ? "" : " (no PMU: timing fallback)")
-                << "]\n";
-    } else {
-      std::cerr << "[failed to write pmu counters to " << *options_.pmu_out
-                << "]\n";
-    }
+    out << profile::pmu_stats_to_json(pmu_stats_, set.available(),
+                                      set.unavailable_reason())
+               .dump();
+    report_artifact(static_cast<bool>(out), "pmu counters", *options_.pmu_out,
+                    set.available() ? "" : " (no PMU: timing fallback)");
   }
   if (recorder_ != nullptr) {
-    telemetry::install_trace_recorder(nullptr);
-    if (recorder_->write_chrome_trace(*options_.trace_out)) {
-      std::cerr << "[trace written to " << *options_.trace_out << ": "
-                << recorder_->stored() << " events across "
-                << recorder_->buffers() << " lanes";
-      if (recorder_->dropped() > 0) {
-        std::cerr << ", " << recorder_->dropped()
-                  << " oldest dropped (raise --trace-buffer=)";
-      }
-      std::cerr << "]\n";
-    } else {
-      std::cerr << "[failed to write trace to " << *options_.trace_out
-                << "]\n";
+    std::string detail = ": " + std::to_string(recorder_->stored()) +
+                         " events across " +
+                         std::to_string(recorder_->buffers()) + " lanes";
+    if (recorder_->dropped() > 0) {
+      detail += ", " + std::to_string(recorder_->dropped()) +
+                " oldest dropped (raise --trace-buffer=)";
     }
+    report_artifact(recorder_->write_chrome_trace(*options_.trace_out),
+                    "trace", *options_.trace_out, detail);
   }
   if (stream_ != nullptr) {
-    telemetry::install_round_sink(nullptr);
-    if (stream_->flush()) {
-      std::cerr << "[stream written to " << *options_.stream_out << ": "
-                << stream_->lines() << " lines from " << stream_->rounds_seen()
-                << " rounds]\n";
-    } else {
-      std::cerr << "[failed to write stream to " << *options_.stream_out
-                << "]\n";
+    report_artifact(stream_->flush(), "stream", *options_.stream_out,
+                    ": " + std::to_string(stream_->lines()) + " lines from " +
+                        std::to_string(stream_->rounds_seen()) + " rounds");
+  }
+  if (phase_table_ != nullptr) {
+    std::cerr << "\nphase trace (engine-side, wall time):\n";
+    for (int i = 0; i < telemetry::kPhaseCount; ++i) {
+      const auto phase = static_cast<telemetry::Phase>(i);
+      if (phase_table_->count(phase) == 0) continue;
+      std::cerr << "  " << std::left << std::setw(14)
+                << telemetry::phase_name(phase) << std::right << std::fixed
+                << std::setprecision(6) << phase_table_->total_seconds(phase)
+                << " s across " << phase_table_->count(phase) << " events\n";
     }
+  }
+  if (options_.metrics_out) {
+    std::ofstream out(*options_.metrics_out);
+    out << metrics_to_json(MetricsRegistry::global().snapshot()).dump();
+    report_artifact(static_cast<bool>(out), "metrics", *options_.metrics_out);
   }
   if (checkpointer_ != nullptr) {
     snapshot::install_checkpointer(nullptr);
@@ -369,46 +376,6 @@ FlightRecorderScope::~FlightRecorderScope() {
                 << " written to " << checkpointer_->options().path
                 << ".<slot>.snap (ring of "
                 << checkpointer_->options().ring << ")]\n";
-    }
-  }
-  if (progress_board_ != nullptr) {
-    obs::install_progress_board(nullptr);
-  }
-}
-
-ExampleTelemetryScope::ExampleTelemetryScope(ExampleOptions options)
-    : options_(std::move(options)), flight_recorder_(options_.recorder) {
-  if (options_.trace) {
-    if (telemetry::kCompiledIn) {
-      telemetry::install_phase_sink(&stats_);
-    } else {
-      std::cerr << "note: --trace has no effect (build with "
-                   "-DBITSPREAD_TELEMETRY=ON)\n";
-    }
-  }
-}
-
-ExampleTelemetryScope::~ExampleTelemetryScope() {
-  if (options_.trace && telemetry::kCompiledIn) {
-    telemetry::install_phase_sink(nullptr);
-    std::cerr << "\nphase trace (engine-side, wall time):\n";
-    for (int i = 0; i < telemetry::kPhaseCount; ++i) {
-      const auto phase = static_cast<telemetry::Phase>(i);
-      if (stats_.count(phase) == 0) continue;
-      std::cerr << "  " << std::left << std::setw(14)
-                << telemetry::phase_name(phase) << std::right << std::fixed
-                << std::setprecision(6) << stats_.total_seconds(phase)
-                << " s across " << stats_.count(phase) << " events\n";
-    }
-  }
-  if (options_.metrics_out) {
-    std::ofstream out(*options_.metrics_out);
-    if (out) {
-      out << metrics_to_json(MetricsRegistry::global().snapshot()).dump();
-      std::cerr << "[metrics written to " << *options_.metrics_out << "]\n";
-    } else {
-      std::cerr << "[failed to write metrics to " << *options_.metrics_out
-                << "]\n";
     }
   }
 }

@@ -8,6 +8,7 @@
 //
 // Flight-recorder flags (benches and examples; active in telemetry builds,
 // a stderr note otherwise):
+//   --trace                print a per-phase timing table on exit
 //   --trace-out=<path>     write a Chrome trace-event JSON timeline on exit
 //   --stream-out=<path>    write a per-round JSONL stream (X_t, drift,
 //                          per-phase nanoseconds)
@@ -39,10 +40,9 @@
 //                          port 0 binds an ephemeral port, reported on
 //                          stderr as "[obs] listening on http://..."
 //
-// Example binaries additionally accept (parse_example_options):
+// Metrics dump (benches and examples, any build):
 //   --metrics-out <path>   dump the global metrics registry as JSON on exit
-//   --trace                print a per-phase timing table on exit
-//                          (telemetry builds only; a no-op note otherwise)
+//                          (also --metrics-out=<path>)
 //
 // The former --csv=<path> table mirror (deprecated in the telemetry PR) has
 // been removed; the unified JSON report carries the tables.
@@ -76,8 +76,13 @@ class ProgressBoard;
 class StreamHub;
 }  // namespace obs
 
-// Flight-recorder and checkpoint flags shared by bench and example binaries.
+// Flight-recorder, profiling, checkpoint and introspection flags shared by
+// bench and example binaries.
 struct FlightRecorderOptions {
+  // --trace: install a PhaseStats sink and print its per-phase table on
+  // exit; --metrics-out: dump the global registry as JSON on exit.
+  bool trace = false;
+  std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
   std::optional<std::string> stream_out;
   std::size_t trace_buffer = std::size_t{1} << 15;
@@ -99,18 +104,16 @@ struct FlightRecorderOptions {
   // additionally need a phase sink (--trace or bench_profile's).
   std::optional<std::string> listen;
 
+  // True when a trace or stream file was asked for.
   bool requested() const noexcept {
     return trace_out.has_value() || stream_out.has_value();
   }
-  bool listen_requested() const noexcept { return listen.has_value(); }
-  bool checkpoint_requested() const noexcept {
-    return checkpoint_out.has_value() || resume.has_value();
-  }
-  bool profiling_requested() const noexcept {
-    return pmu_out.has_value() || profile_out.has_value();
-  }
-  // Consumes the flag if it matches one of the recorder/checkpoint options.
-  bool parse_flag(const std::string& arg);
+  // Consumes argv[i] if it is one of these flags; the two-token form
+  // `--metrics-out <path>` also consumes argv[i + 1] and advances i.
+  bool parse_flag(int argc, char** argv, int& i);
+  // Parses a whole command line. Positional arguments are the caller's;
+  // unknown `--` flags are reported on stderr and ignored.
+  static FlightRecorderOptions parse(int argc, char** argv);
 };
 
 struct BenchOptions {
@@ -179,22 +182,17 @@ class OutcomeLedger {
   MetricsRegistry::Counter wrong_;
 };
 
-struct ExampleOptions {
-  std::optional<std::string> metrics_out;
-  bool trace = false;
-  FlightRecorderOptions recorder;
-};
-
-ExampleOptions parse_example_options(int argc, char** argv);
-
-// RAII scope for the flight recorder: when the options request any output
-// and the library is a telemetry build, installs a TraceRecorder (and a
-// RoundStream when --stream-out= was given) for the scope's lifetime; the
-// destructor uninstalls both, writes the Chrome trace file, flushes the
-// stream, and reports what was written (with the dropped-event count) on
-// stderr. In a non-telemetry build a single stderr note explains how to
-// enable it. Construct before the run, destroy after — installation must
-// not race an engine.
+// The one RAII scope for a bench's or example's run-observation flags. It
+// builds every sink the options ask for — the --trace PhaseStats, the
+// --pmu-out PMU sink, the --trace-out TraceRecorder, the --stream-out
+// RoundStream (teed to /stream under --listen) and the --listen progress
+// board — and installs them as ONE telemetry::SinkScope for its lifetime.
+// The destructor ends that scope, then writes the trace, PMU and metrics
+// files, flushes the stream, prints the phase table, and reports what was
+// written (with the dropped-event count) on stderr. Telemetry-only outputs
+// print a single stderr note in a non-telemetry build. Construct before
+// the run, destroy after — installation must not race an engine; a bench's
+// own SinkScope nests inside or around it.
 //
 // The scope also owns the checkpoint lifecycle (--checkpoint-out=/--resume=;
 // independent of telemetry): the Checkpointer is created and a resume
@@ -219,16 +217,6 @@ class FlightRecorderScope {
 
   // The active recorder, or nullptr when none was requested/installed.
   telemetry::TraceRecorder* recorder() noexcept { return recorder_.get(); }
-  // The active checkpointer, or nullptr when checkpointing is off.
-  snapshot::Checkpointer* checkpointer() noexcept {
-    return checkpointer_.get();
-  }
-
-  // The PMU sink active for this scope, or nullptr when --pmu-out= is off
-  // (benches embed its totals in their JSON reports).
-  profile::PmuPhaseStats* pmu_stats() noexcept {
-    return pmu_installed_ ? &pmu_stats_ : nullptr;
-  }
 
   // True while the SIGPROF sampling profiler is running (--profile-out=).
   // Benches record this in their reports so check_telemetry_overhead.py can
@@ -248,43 +236,23 @@ class FlightRecorderScope {
   std::unique_ptr<snapshot::Checkpointer> checkpointer_;
   std::unique_ptr<telemetry::TraceRecorder> recorder_;
   std::unique_ptr<telemetry::RoundStream> stream_;
-  // Profiling (--pmu-out= / --profile-out=): the PMU sink lives here so the
-  // destructor can render it after uninstalling; the sampling profiler is
-  // started last and stopped first.
+  // --trace: the phase sink whose table the destructor prints — this
+  // scope's own, or the enclosing bundle's when a bench installed one.
+  telemetry::PhaseStats phase_stats_;
+  const telemetry::PhaseStats* phase_table_ = nullptr;
+  // --pmu-out=: rendered by the destructor after the scope ends. The
+  // sampling profiler (--profile-out=) is started last and stopped first.
   profile::PmuPhaseStats pmu_stats_;
-  bool pmu_installed_ = false;
   std::unique_ptr<profile::SamplingProfiler> profiler_;
   // Introspection (--listen=): the progress board RunDrivers publish into,
   // the hub that tees the round stream to /stream subscribers, and the
-  // HTTP server itself. The server only reads; it is stopped FIRST in the
-  // destructor so no scrape observes half-deinstalled sinks. No phase sink
-  // is installed for --listen alone — /metrics carries phase rows exactly
-  // when the binary opted into probes itself (--trace, bench_profile) —
-  // because an always-on sink would activate per-round and per-word clock
-  // reads that cost far more than the 5% exporter budget on fast engines.
+  // read-only HTTP server, stopped FIRST in the destructor. --listen alone
+  // installs no phase sink: that would wake every probe (DESIGN.md §3.9).
   std::unique_ptr<obs::ProgressBoard> progress_board_;
   std::unique_ptr<obs::StreamHub> stream_hub_;
   std::unique_ptr<obs::IntrospectionServer> server_;
-};
-
-// RAII scope for an example binary's telemetry flags: --trace installs a
-// PhaseStats sink for the scope's lifetime and prints the per-phase table on
-// destruction; --metrics-out dumps the global registry as JSON; the
-// flight-recorder flags (--trace-out= etc.) are handled by an embedded
-// FlightRecorderScope. All are no-ops (with a stderr note) when telemetry
-// is compiled out.
-class ExampleTelemetryScope {
- public:
-  explicit ExampleTelemetryScope(ExampleOptions options);
-  ~ExampleTelemetryScope();
-
-  ExampleTelemetryScope(const ExampleTelemetryScope&) = delete;
-  ExampleTelemetryScope& operator=(const ExampleTelemetryScope&) = delete;
-
- private:
-  ExampleOptions options_;
-  telemetry::PhaseStats stats_;
-  FlightRecorderScope flight_recorder_;
+  // All of the above that runs feed, installed as one bundle.
+  std::optional<telemetry::SinkScope> sinks_;
 };
 
 }  // namespace bitspread

@@ -128,7 +128,7 @@ void WorkerPool::worker_main(unsigned slot, std::uint64_t spawn_generation) {
     const std::uint64_t busy_end_ns = telemetry::clock_now_ns();
     // Reuses the two clock reads already taken for busy_ns accounting: an
     // installed flight recorder costs the pool no extra clock traffic.
-    if (telemetry::TraceRecorder* recorder = telemetry::trace_recorder()) {
+    if (telemetry::TraceRecorder* recorder = telemetry::sinks().trace) {
       recorder->span("worker_busy", woke_ns, busy_end_ns);
     }
     WorkerStats& stats = worker_stats_[slot];
@@ -172,8 +172,7 @@ void WorkerPool::run(int count, const std::function<void(int)>& fn,
     return;
   }
   std::lock_guard<std::mutex> run_lock(run_mu_);
-  const telemetry::ScopedTimer dispatch_timer(
-      telemetry::Phase::kPoolDispatch);
+  const telemetry::Probe dispatch_probe(telemetry::Phase::kPoolDispatch);
   ensure_workers(target);
   {
     std::lock_guard<std::mutex> lock(mu_);

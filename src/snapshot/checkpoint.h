@@ -10,9 +10,9 @@
 // corrupt file, because silently losing progress is exactly what this
 // subsystem exists to prevent.
 //
-// Installation follows the telemetry-sink idiom: install_checkpointer()
-// publishes one Checkpointer process-wide and every RunDriver consults it.
-// A driver whose stepper lacks the snapshot hooks simply ignores it. The
+// install_checkpointer() publishes one Checkpointer process-wide (the only
+// global slot beside the telemetry sink bundle) and every RunDriver
+// consults it. A driver whose stepper lacks the snapshot hooks ignores it. The
 // Checkpointer never touches an RNG stream and never mutates run state, so
 // (like the flight recorder) it provably cannot perturb a simulation — the
 // golden payload digests pin this.

@@ -48,7 +48,7 @@ void RoundStream::on_round(std::uint64_t round, std::uint64_t ones,
     line += "null";
   }
   line += ",\"phase_ns\":{";
-  PhaseStats* stats = phase_sink();
+  const PhaseStats* stats = sinks().phases;
   for (int i = 0; i < kPhaseCount; ++i) {
     const auto phase = static_cast<Phase>(i);
     const std::uint64_t total =

@@ -2,7 +2,7 @@
 // series into one JSON object per line, interleaving the trajectory X_t,
 // the drift n·F_n(X_t/n) (when a bias callback is supplied by the caller —
 // the telemetry layer never depends on analysis/), and per-phase nanosecond
-// deltas read from the installed PhaseStats sink.
+// deltas read from the installed bundle's PhaseStats sink.
 //
 // Line schema (single line, no pretty-printing):
 //   {"round":t,"ones":X,"n":n,"x":X/n,"drift":n*F(X/n)|null,

@@ -1,10 +1,21 @@
 #include "telemetry/telemetry.h"
 
+#include <cassert>
+
+#include "profile/counters.h"
+#include "telemetry/trace.h"
+
 namespace bitspread {
 namespace telemetry {
 namespace {
 
-std::atomic<PhaseStats*> g_phase_sink{nullptr};
+constinit const Sinks kNoSinks{};
+
+// The one process-wide sink slot. Written only under g_sinks_mutex (by
+// SinkScope); read lock-free by probes, which the install-outside-runs
+// contract keeps from racing a scope's end.
+std::atomic<const Sinks*> g_sinks{&kNoSinks};
+std::mutex g_sinks_mutex;
 
 }  // namespace
 
@@ -34,20 +45,56 @@ const char* phase_name(Phase phase) noexcept {
   return "unknown";
 }
 
-void install_phase_sink(PhaseStats* sink) noexcept {
-  if constexpr (kCompiledIn) {
-    g_phase_sink.store(sink, std::memory_order_release);
-  } else {
-    (void)sink;
+const Sinks& sinks() noexcept {
+  return *g_sinks.load(std::memory_order_acquire);
+}
+
+std::unique_lock<std::mutex> lock_sinks() {
+  return std::unique_lock<std::mutex>(g_sinks_mutex);
+}
+
+SinkScope::SinkScope(const Sinks& given) noexcept {
+  const std::lock_guard<std::mutex> lock(g_sinks_mutex);
+  enclosing_ = g_sinks.load(std::memory_order_relaxed);
+  bundle_ = *enclosing_;
+  if (given.phases != nullptr) bundle_.phases = given.phases;
+  if (given.pmu != nullptr) bundle_.pmu = given.pmu;
+  if (given.trace != nullptr) bundle_.trace = given.trace;
+  if (given.rounds != nullptr) bundle_.rounds = given.rounds;
+  if (given.progress != nullptr) bundle_.progress = given.progress;
+  g_sinks.store(&bundle_, std::memory_order_release);
+}
+
+SinkScope::~SinkScope() {
+  const std::lock_guard<std::mutex> lock(g_sinks_mutex);
+  assert(g_sinks.load(std::memory_order_relaxed) == &bundle_ &&
+         "SinkScopes must end in reverse order of construction");
+  g_sinks.store(enclosing_, std::memory_order_release);
+}
+
+#ifdef BITSPREAD_TELEMETRY
+
+void Probe::open(const Sinks& bundle) noexcept {
+  bundle_ = &bundle;
+  take_reading(bundle, begin_.emplace());
+}
+
+void Probe::close() noexcept {
+  profile::CounterSnapshot end;
+  take_reading(*bundle_, end);
+  const std::uint64_t begin_ns = begin_->wall_ns;
+  if (bundle_->phases != nullptr) {
+    bundle_->phases->add(phase_, end.wall_ns - begin_ns);
+  }
+  if (bundle_->pmu != nullptr) {
+    bundle_->pmu->add(phase_, profile::thread_counters().delta(*begin_, end));
+  }
+  if (bundle_->trace != nullptr) {
+    bundle_->trace->span(phase_name(phase_), begin_ns, end.wall_ns);
   }
 }
 
-PhaseStats* phase_sink() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_phase_sink.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
+#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace telemetry
 }  // namespace bitspread

@@ -1,16 +1,16 @@
-// The telemetry switch, the round-level phase sink, and the RAII timer probe.
+// The telemetry switch, the sink bundle, and the RAII phase probe.
 //
 // Two gates keep the measurement layer out of the measured system:
 //
 //  1. *Compile time.* Probes exist only when the library is built with
 //     -DBITSPREAD_TELEMETRY (CMake option BITSPREAD_TELEMETRY, preset
-//     `telemetry`). Without it, ScopedTimer is an empty object and every
+//     `telemetry`). Without it, Probe is an empty object and every
 //     accounting branch is `if constexpr`-eliminated — the disabled build is
 //     bit-for-bit the untouched hot path (CI asserts the runtime delta of the
 //     enabled build stays under 5% on perf_smoke).
-//  2. *Run time.* Even when compiled in, a probe records only while a
-//     PhaseStats sink is installed (install_phase_sink); otherwise it costs
-//     one relaxed atomic pointer load and never reads the clock.
+//  2. *Run time.* Even when compiled in, a probe records only while the
+//     installed Sinks bundle holds a phase, PMU or trace sink; otherwise it
+//     costs one pointer load and never reads the clock.
 //
 // Neither gate can perturb simulation results: telemetry reads clocks and
 // bumps counters, and NEVER touches an RNG stream — the determinism suite
@@ -23,9 +23,21 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 
+#include "profile/pmu.h"
+
 namespace bitspread {
+
+namespace obs {
+class ProgressBoard;
+}  // namespace obs
+namespace profile {
+class PmuPhaseStats;
+}  // namespace profile
+
 namespace telemetry {
 
 // True when the library was built with -DBITSPREAD_TELEMETRY.
@@ -67,7 +79,7 @@ inline std::uint64_t clock_now_ns() noexcept {
           .count());
 }
 
-// The runtime sink: per-phase nanosecond and event totals, safe for
+// The phase sink: per-phase nanosecond and event totals, safe for
 // concurrent recording from pool workers (relaxed atomics; totals are read
 // after the recorded region completes, which the pool's join ordering makes
 // a happens-before).
@@ -91,100 +103,138 @@ class PhaseStats {
     return static_cast<double>(total_ns(phase)) * 1e-9;
   }
 
-  void reset() noexcept {
-    for (auto& v : ns_) v.store(0, std::memory_order_relaxed);
-    for (auto& v : count_) v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::array<std::atomic<std::uint64_t>, kPhaseCount> ns_{};
   std::array<std::atomic<std::uint64_t>, kPhaseCount> count_{};
 };
 
-// Installs (or, with nullptr, removes) the process-wide probe sink. The
-// caller owns the sink and must keep it alive until it is uninstalled.
-// Compiled-out builds accept the call and ignore it.
-void install_phase_sink(PhaseStats* sink) noexcept;
-
-// The currently installed sink (nullptr when none, or compiled out).
-PhaseStats* phase_sink() noexcept;
-
 // The flight recorder (trace.h): a per-thread bounded ring of timestamped
-// span/counter/instant events, exported as Chrome trace-event JSON. It obeys
-// the same two gates as PhaseStats: install/trace_recorder() are inert when
-// compiled out, and an installed recorder is the only thing that makes the
-// probes below emit events. The caller owns the recorder and must keep it
-// alive (and quiescent: no engine running) until it is uninstalled.
+// span/counter/instant events, exported as Chrome trace-event JSON.
 class TraceRecorder;
-void install_trace_recorder(TraceRecorder* recorder) noexcept;
-TraceRecorder* trace_recorder() noexcept;
 
 // Per-round stream sink: engines report (round, X_t, n) once per completed
-// parallel round through record_round(); an installed RoundSink receives the
-// series (jsonl.h turns it into a JSONL stream interleaving X_t, drift, and
-// per-phase nanoseconds). Same ownership/gating rules as the phase sink.
-// on_round() may be called concurrently when replicates run on the pool —
-// implementations must be thread-safe. It must never touch an RNG stream.
+// parallel round through record_round(); the installed RoundSink receives
+// the series (jsonl.h turns it into a JSONL stream interleaving X_t, drift,
+// and per-phase nanoseconds). on_round() may be called concurrently when
+// replicates run on the pool — implementations must be thread-safe. It must
+// never touch an RNG stream.
 class RoundSink {
  public:
   virtual ~RoundSink() = default;
   virtual void on_round(std::uint64_t round, std::uint64_t ones,
                         std::uint64_t n) = 0;
 };
-void install_round_sink(RoundSink* sink) noexcept;
-RoundSink* round_sink() noexcept;
+
+// Everything a run can explain itself through, as one bundle: wall-clock
+// phase totals, hardware-counter totals (profile/counters.h), the trace
+// recorder, the per-round stream, and the live-progress board
+// (obs/progress.h). Every pointer is optional and none is owned. The phase,
+// trace and round fields have readers only in telemetry builds; the PMU
+// sink and the progress board are read in every build.
+struct Sinks {
+  PhaseStats* phases = nullptr;
+  profile::PmuPhaseStats* pmu = nullptr;
+  TraceRecorder* trace = nullptr;
+  RoundSink* rounds = nullptr;
+  obs::ProgressBoard* progress = nullptr;
+};
+
+// The installed bundle: an empty one when no SinkScope is live. Readers
+// resolve it once per run, per kernel block or per scrape. The reference
+// stays valid until the scope that installed it ends, and scopes must not
+// begin or end while an engine runs.
+const Sinks& sinks() noexcept;
+
+// Installs a bundle for its lifetime: a copy of the enclosing bundle with
+// every non-null field of `given` replacing the enclosing one. The
+// destructor reinstalls the enclosing bundle, so scopes must nest (end in
+// reverse order of construction). This is how a bench's own PhaseStats
+// joins a FlightRecorderScope's trace and stream. The caller keeps every
+// sink alive until the scope ends.
+class SinkScope {
+ public:
+  explicit SinkScope(const Sinks& given) noexcept;
+  ~SinkScope();
+  SinkScope(const SinkScope&) = delete;
+  SinkScope& operator=(const SinkScope&) = delete;
+
+ private:
+  Sinks bundle_;
+  const Sinks* enclosing_ = nullptr;
+};
+
+// The lock SinkScope takes to install and to restore. A reader outside the
+// run loop (the /metrics scrape) holds it across its whole read, so no scope
+// can end — and free what it installed — under the reader.
+std::unique_lock<std::mutex> lock_sinks();
 
 #ifdef BITSPREAD_TELEMETRY
-// Round marker: feeds an installed TraceRecorder (counter event "X_t") and
-// an installed RoundSink. Costs two relaxed loads when neither is installed;
-// compiles to nothing in the default build. Defined in trace.cc.
+// The one reading every probe takes: the calling thread's counter group
+// when the bundle holds a PMU sink (that read carries a clock value too),
+// the clock alone otherwise.
+inline void take_reading(const Sinks& bundle,
+                         profile::CounterSnapshot& reading) noexcept {
+  if (bundle.pmu != nullptr) {
+    profile::thread_counters().read(reading);
+  } else {
+    reading.wall_ns = clock_now_ns();
+  }
+}
+
+// Round marker: feeds the bundle's TraceRecorder (counter event "X_t") and
+// RoundSink. Costs one pointer load when neither is installed; compiles to
+// nothing in the default build. Defined in trace.cc.
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept;
 // Instant marker (e.g. "source_flip") on the calling thread's trace lane.
 // `name` must be a string literal (stored by pointer, not copied).
 void record_mark(const char* name) noexcept;
-namespace internal {
-// Complete-span hook used by ScopedTimer and the pool's worker loop: pushes
-// one span with explicit timestamps onto the installed recorder, if any.
-void trace_span(Phase phase, std::uint64_t begin_ns,
-                std::uint64_t end_ns) noexcept;
-}  // namespace internal
 #else
 inline void record_round(std::uint64_t /*round*/, std::uint64_t /*ones*/,
                          std::uint64_t /*n*/) noexcept {}
 inline void record_mark(const char* /*name*/) noexcept {}
 #endif
 
-// RAII probe: measures the lifetime of the object and adds it to the
-// installed sink under `phase`; when a TraceRecorder is installed it also
-// records the interval as a trace span. A disabled build compiles this to
-// nothing.
-class ScopedTimer {
+// RAII phase probe: attributes its lifetime to `phase`. At each end it
+// takes ONE reading (take_reading) and feeds it to the phase sink, the PMU
+// sink and the trace span alike, so the three agree to the nanosecond.
+// Dormant (one pointer load, no clock read) unless the bundle holds a
+// phase, PMU or trace sink. Tight loops pass a bundle resolved once per
+// run; a disabled build compiles this to nothing.
+class Probe {
  public:
 #ifdef BITSPREAD_TELEMETRY
-  explicit ScopedTimer(Phase phase) noexcept
-      : sink_(phase_sink()),
-        traced_(trace_recorder() != nullptr),
-        phase_(phase) {
-    if (sink_ != nullptr || traced_) start_ns_ = clock_now_ns();
+  explicit Probe(Phase phase, const Sinks& bundle = sinks()) noexcept
+      : phase_(phase) {
+    if (bundle.phases != nullptr || bundle.pmu != nullptr ||
+        bundle.trace != nullptr) {
+      open(bundle);
+    }
   }
-  ~ScopedTimer() {
-    if (sink_ == nullptr && !traced_) return;
-    const std::uint64_t end_ns = clock_now_ns();
-    if (sink_ != nullptr) sink_->add(phase_, end_ns - start_ns_);
-    if (traced_) internal::trace_span(phase_, start_ns_, end_ns);
+  ~Probe() {
+    if (bundle_ != nullptr) close();
   }
 
+  // True when the probe took a reading.
+  bool active() const noexcept { return bundle_ != nullptr; }
+
  private:
-  PhaseStats* sink_;
-  bool traced_;
+  void open(const Sinks& bundle) noexcept;
+  void close() noexcept;
+
+  const Sinks* bundle_ = nullptr;
   Phase phase_;
-  std::uint64_t start_ns_ = 0;
+  // Engaged only while active: a dormant probe never fills the reading.
+  std::optional<profile::CounterSnapshot> begin_;
 #else
-  explicit ScopedTimer(Phase /*phase*/) noexcept {}
+  explicit Probe(Phase /*phase*/) noexcept {}
+  Probe(Phase /*phase*/, const Sinks& /*bundle*/) noexcept {}
+  bool active() const noexcept { return false; }
 #endif
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ public:
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
 };
 
 }  // namespace telemetry

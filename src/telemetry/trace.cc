@@ -42,16 +42,13 @@ struct TraceRecorder::Lane {
 
 namespace {
 
-std::atomic<TraceRecorder*> g_trace_recorder{nullptr};
-// Bumped on every install/uninstall so thread-local lane pointers cached
-// against a previous recorder (possibly at a recycled address) are never
-// reused.
+// Bumped on every recorder destruction, so thread-local lane pointers
+// cached against a freed recorder are never reused.
 std::atomic<std::uint64_t> g_trace_epoch{0};
 
-// The cache is valid only for (this recorder, this epoch): the epoch is
-// bumped on every install/uninstall AND every recorder destruction, so a
-// stale lane pointer — even one whose recorder was freed and the address
-// recycled by a new instance — can never be dereferenced.
+// The cache is valid only for (this recorder, this epoch): a stale lane
+// pointer — even one whose recorder was freed and the address recycled by a
+// new instance — can never be dereferenced.
 struct ThreadLaneCache {
   const TraceRecorder* owner = nullptr;
   TraceRecorder::Lane* lane = nullptr;
@@ -329,70 +326,22 @@ std::vector<std::string> validate_chrome_trace(const JsonValue& trace) {
   return errors;
 }
 
-void install_trace_recorder(TraceRecorder* recorder) noexcept {
-  if constexpr (kCompiledIn) {
-    g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
-    g_trace_recorder.store(recorder, std::memory_order_release);
-  } else {
-    (void)recorder;
-  }
-}
-
-TraceRecorder* trace_recorder() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_trace_recorder.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-namespace {
-
-std::atomic<RoundSink*> g_round_sink{nullptr};
-
-}  // namespace
-
-void install_round_sink(RoundSink* sink) noexcept {
-  if constexpr (kCompiledIn) {
-    g_round_sink.store(sink, std::memory_order_release);
-  } else {
-    (void)sink;
-  }
-}
-
-RoundSink* round_sink() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_round_sink.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
 #ifdef BITSPREAD_TELEMETRY
 
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept {
-  TraceRecorder* recorder = trace_recorder();
-  RoundSink* sink = round_sink();
-  if (recorder == nullptr && sink == nullptr) return;
-  if (recorder != nullptr) recorder->counter("X_t", clock_now_ns(), ones);
-  if (sink != nullptr) sink->on_round(round, ones, n);
+  const Sinks& bundle = sinks();
+  if (bundle.trace != nullptr) {
+    bundle.trace->counter("X_t", clock_now_ns(), ones);
+  }
+  if (bundle.rounds != nullptr) bundle.rounds->on_round(round, ones, n);
 }
 
 void record_mark(const char* name) noexcept {
-  if (TraceRecorder* recorder = trace_recorder()) {
+  if (TraceRecorder* recorder = sinks().trace) {
     recorder->instant(name, clock_now_ns());
   }
 }
-
-namespace internal {
-
-void trace_span(Phase phase, std::uint64_t begin_ns,
-                std::uint64_t end_ns) noexcept {
-  if (TraceRecorder* recorder = trace_recorder()) {
-    recorder->span(phase_name(phase), begin_ns, end_ns);
-  }
-}
-
-}  // namespace internal
 
 #endif  // BITSPREAD_TELEMETRY
 

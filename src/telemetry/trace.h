@@ -13,17 +13,17 @@
 //     sort + stack sweep (RAII guarantees proper nesting per thread).
 //  3. *Two-gate discipline.* This class compiles in every build (its direct
 //     API is unit-tested from the default build), but the probes that feed
-//     it — ScopedTimer, record_round(), record_mark(), the pool's worker
-//     spans — exist only under -DBITSPREAD_TELEMETRY and are dormant until
-//     install_trace_recorder() points at an instance. Recording reads clocks
-//     and writes ring slots; it NEVER touches an RNG stream.
+//     it — Probe, record_round(), record_mark(), the pool's worker spans —
+//     exist only under -DBITSPREAD_TELEMETRY and are dormant until a
+//     SinkScope puts an instance in the bundle's `trace` field. Recording
+//     reads clocks and writes ring slots; it NEVER touches an RNG stream.
 //
 // Threading: each thread that records gets its own lane (ring) on first use,
-// registered through an epoch-checked thread-local so stale pointers from a
-// previous install cycle are never dereferenced. Rings are single-writer
-// (the owning thread); stats/export must only run while recording threads
-// are quiescent (between runs, or after uninstall) — the same join ordering
-// PhaseStats relies on.
+// registered through an epoch-checked thread-local so stale pointers into a
+// destroyed recorder are never dereferenced. Rings are single-writer (the
+// owning thread); stats/export must only run while recording threads are
+// quiescent (between runs, or after the scope ends) — the same join
+// ordering PhaseStats relies on.
 #ifndef BITSPREAD_TELEMETRY_TRACE_H_
 #define BITSPREAD_TELEMETRY_TRACE_H_
 

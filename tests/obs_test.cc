@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "obs/prometheus.h"
 #include "obs/server.h"
 #include "obs/snapshot.h"
+#include "profile/counters.h"
 #include "protocols/minority.h"
 #include "snapshot/state.h"
 #include "telemetry/json.h"
@@ -441,9 +443,10 @@ TEST(ProgressBoard, ReadsAreNeverTornUnderConcurrentPublishes) {
 }
 
 TEST(ProgressScope, DormantWithoutBoard) {
-  ASSERT_EQ(obs::progress_board(), nullptr)
+  ASSERT_EQ(telemetry::sinks().progress, nullptr)
       << "another test leaked an installed board";
-  obs::RunProgressScope scope("aggregate", 100, 64, false);
+  obs::RunProgressScope scope(telemetry::sinks().progress, "aggregate", 100,
+                              64, false);
   EXPECT_FALSE(scope.attached());
   scope.on_round(1, 32, 64, nullptr);  // Must be a harmless no-op.
   scope.finish(100, 64, 64, nullptr);
@@ -464,10 +467,12 @@ TEST(ProgressScope, BoardDoesNotPerturbRunDigests) {
       snapshot::payload_digest(engine.run(init, rule, 1234));
   {
     obs::ProgressBoard board;
-    obs::install_progress_board(&board);
-    EXPECT_EQ(snapshot::payload_digest(engine.run(init, rule, 1234)), golden)
-        << "a progress board must never change simulation output";
-    obs::install_progress_board(nullptr);
+    {
+      const telemetry::SinkScope scope({.progress = &board});
+      EXPECT_EQ(snapshot::payload_digest(engine.run(init, rule, 1234)),
+                golden)
+          << "a progress board must never change simulation output";
+    }
     EXPECT_EQ(board.runs_started(), 1u);
     EXPECT_EQ(board.runs_finished(), 1u);
     const auto runs = board.read();
@@ -496,7 +501,7 @@ TEST(ProgressScope, EtaConvergesOnShardedFaultyRun) {
   faults.source_flip_rounds = {100};
 
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::SinkScope scope({.progress = &board});
   std::atomic<bool> done{false};
   std::chrono::steady_clock::time_point finished_at;
   std::thread runner([&] {
@@ -522,7 +527,6 @@ TEST(ProgressScope, EtaConvergesOnShardedFaultyRun) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   runner.join();
-  obs::install_progress_board(nullptr);
 
   EXPECT_EQ(board.read().at(0).round, rule.max_rounds);
   // Over the run's second half, the median relative ETA error must be
@@ -611,7 +615,7 @@ TEST_F(LiveServerTest, HealthzParsesAndReportsState) {
 
 TEST_F(LiveServerTest, ProgressReportsBoardRuns) {
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::SinkScope scope({.progress = &board});
   const std::size_t slot = board.claim("aggregate", 1000, 4096, false, 1);
   obs::ProgressRecord record;
   record.active = true;
@@ -627,7 +631,6 @@ TEST_F(LiveServerTest, ProgressReportsBoardRuns) {
   board.publish(slot, record);
 
   const auto doc = JsonValue::parse(http_get(server_->port(), "/progress"));
-  obs::install_progress_board(nullptr);
   ASSERT_TRUE(doc.has_value());
   const JsonValue* schema = doc->find("schema");
   ASSERT_NE(schema, nullptr);
@@ -652,7 +655,7 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   // Scrapes taken mid-run must stay structurally valid: hammer the board
   // from a writer while scraping repeatedly.
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::SinkScope scope({.progress = &board});
   const std::size_t slot = board.claim("sharded.faulty", 1u << 20, 64, true, 0);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -688,14 +691,13 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   }
   stop.store(true);
   writer.join();
-  obs::install_progress_board(nullptr);
 }
 
 TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
   if (!telemetry::kCompiledIn) {
     GTEST_SKIP() << "record_round is compiled out without BITSPREAD_TELEMETRY";
   }
-  telemetry::install_round_sink(&hub_);
+  const telemetry::SinkScope scope({.rounds = &hub_});
   std::atomic<bool> stop{false};
   std::thread producer([&] {
     std::uint64_t round = 0;
@@ -709,7 +711,6 @@ TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
   const std::string raw = http_get_raw(server_->port(), "/stream?lines=3");
   stop.store(true);
   producer.join();
-  telemetry::install_round_sink(nullptr);
 
   EXPECT_NE(raw.find("200 OK"), std::string::npos);
   EXPECT_NE(raw.find("chunked"), std::string::npos);
@@ -731,6 +732,65 @@ TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
     EXPECT_EQ(doc->find("ones")->as_uint(), round * 2);
     EXPECT_EQ(doc->find("n")->as_uint(), 1024u);
   }
+}
+
+// The teardown race the install lock closes: a bench's SinkScope ends and
+// its sinks are freed while a --listen scrape may be mid-capture. The
+// capture holds the lock SinkScope takes to install and restore, so this
+// runs clean under ASan; and because one scope installs every sink at once,
+// each capture sees all of them or none.
+TEST(MetricsCapture, ScrapeWhileInstallHammerIsClean) {
+  MetricsRegistry registry;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> captures{0};
+  std::atomic<std::uint64_t> saw_sinks{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const obs::MetricsSnapshot snap = obs::capture_metrics(registry);
+      const bool board = snap.runs_started > 0;
+      EXPECT_EQ(snap.pmu_present, board);
+      if (telemetry::kCompiledIn) {
+        EXPECT_EQ(snap.phases_present, board);
+      }
+      if (snap.pmu_present) {
+        ASSERT_EQ(snap.pmu.size(), 1u);
+        EXPECT_EQ(snap.pmu[0].samples, 1u);
+        EXPECT_EQ(snap.runs.size(), 1u);
+        saw_sinks.fetch_add(1, std::memory_order_relaxed);
+      }
+      captures.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int round = 0;
+       (round < 2000 || saw_sinks.load(std::memory_order_relaxed) < 100) &&
+       std::chrono::steady_clock::now() < deadline;
+       ++round) {
+    // Heap-allocated and freed the moment the scope ends: a capture still
+    // reading them would be a use-after-free.
+    auto phases = std::make_unique<telemetry::PhaseStats>();
+    auto pmu = std::make_unique<profile::PmuPhaseStats>();
+    auto board = std::make_unique<obs::ProgressBoard>();
+    phases->add(telemetry::Phase::kRoundStep, 1);
+    profile::CounterDelta delta;
+    delta.wall_ns = 1;
+    pmu->add(telemetry::Phase::kRoundStep, delta);
+    obs::ProgressRecord record;
+    record.engine = "hammer";
+    record.publish_ns = 1;
+    board->publish(board->claim("hammer", 1, 1, false, 1), record);
+    {
+      const telemetry::SinkScope scope(
+          {.phases = phases.get(), .pmu = pmu.get(), .progress = board.get()});
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  scraper.join();
+  EXPECT_GT(captures.load(), 0u);
+  EXPECT_GT(saw_sinks.load(), 0u)
+      << "no capture landed inside a scope; the race was never exercised";
 }
 
 TEST(ExporterActive, TracksLiveServers) {

@@ -242,9 +242,9 @@ TEST(PmuPhaseStats, JsonCarriesPhasesAndFallbackStamp) {
 TEST(Probes, KernelBlockProfilerRecordsOnlyWhenCompiledAndSinked) {
   PmuPhaseStats pmu_stats;
   telemetry::PhaseStats phase_stats;
-  install_pmu_sink(&pmu_stats);
-  telemetry::install_phase_sink(&phase_stats);
   {
+    const telemetry::SinkScope scope(
+        {.phases = &phase_stats, .pmu = &pmu_stats});
     KernelBlockProfiler prof;
     prof.enter(telemetry::Phase::kKernelGather);
     volatile std::uint64_t sink = 0;
@@ -253,8 +253,6 @@ TEST(Probes, KernelBlockProfilerRecordsOnlyWhenCompiledAndSinked) {
     for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
     prof.leave();
   }
-  telemetry::install_phase_sink(nullptr);
-  install_pmu_sink(nullptr);
 
   if (telemetry::kCompiledIn) {
     EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelGather), 1u);
@@ -291,11 +289,12 @@ TEST(Probes, ProfiledRunIsBitIdentical) {
 
     PmuPhaseStats pmu_stats;
     telemetry::PhaseStats phase_stats;
-    install_pmu_sink(&pmu_stats);
-    telemetry::install_phase_sink(&phase_stats);
-    const RunResult profiled = engine.run(init, rule, /*seed=*/42);
-    telemetry::install_phase_sink(nullptr);
-    install_pmu_sink(nullptr);
+    RunResult profiled;
+    {
+      const telemetry::SinkScope scope(
+          {.phases = &phase_stats, .pmu = &pmu_stats});
+      profiled = engine.run(init, rule, /*seed=*/42);
+    }
 
     EXPECT_EQ(profiled.final_config.ones, plain.final_config.ones)
         << "backend " << kernel::backend_name(backend);

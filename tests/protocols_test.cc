@@ -188,6 +188,19 @@ TEST(Perturbed, OutOfRangeAndNaNParametersAreSanitized) {
                                                       kN)));
 }
 
+}  // namespace
+
+// gtest names each parameterised case after its printed parameter, and the
+// default printout of a pointer is its address, which address-space layout
+// randomisation changes on every run; CTest then registered these cases
+// under new names after each build. Print the protocol instead. Found by
+// ADL, so it lives in the protocol's namespace.
+void PrintTo(const MemorylessProtocol* protocol, std::ostream* os) {
+  *os << protocol->name() << ":l=" << protocol->sample_size(kN);
+}
+
+namespace {
+
 // Property sweep: every closed-form aggregate_adoption override must agree
 // with the generic Eq. 4 sum on a grid of p, for both own opinions.
 class AggregateClosedFormTest

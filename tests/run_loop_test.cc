@@ -18,6 +18,7 @@
 #include "multi/protocols.h"
 #include "population/engine.h"
 #include "population/protocols.h"
+#include "profile/counters.h"
 #include "protocols/voter.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/telemetry.h"
@@ -309,16 +310,16 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
-
     const VoterDynamics voter;
     const AlphaSynchronousEngine alpha(voter, 0.5);
     StopRule rule;
     rule.max_rounds = 10;  // Voter needs ~n rounds: no consensus inside 10.
     Rng rng(83);
-    const RunResult result =
-        alpha.run(Configuration{4096, 2048, Opinion::kOne}, rule, rng);
-    telemetry::install_round_sink(nullptr);
+    RunResult result;
+    {
+      const telemetry::SinkScope scope({.rounds = &stream});
+      result = alpha.run(Configuration{4096, 2048, Opinion::kOne}, rule, rng);
+    }
 
     if (telemetry::kCompiledIn) {
       EXPECT_EQ(result.ticks, 10u);
@@ -330,16 +331,17 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
-
     const MultiVoter voter(3, 4);
     const MultiAggregateEngine engine(voter);
     StopRule rule;
     rule.max_rounds = 10;
     Rng rng(84);
-    const MultiRunResult result =
-        engine.run(MultiConfiguration{{2048, 1024, 1024}, 0, 1}, rule, rng);
-    telemetry::install_round_sink(nullptr);
+    MultiRunResult result;
+    {
+      const telemetry::SinkScope scope({.rounds = &stream});
+      result =
+          engine.run(MultiConfiguration{{2048, 1024, 1024}, 0, 1}, rule, rng);
+    }
 
     if (telemetry::kCompiledIn) {
       EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
@@ -350,22 +352,61 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
-
     const PairwiseVoter voter;
     const PopulationEngine engine(voter);
     StopRule rule;
     rule.max_rounds = 10;
     Rng rng(85);
     auto population = engine.make_population(256, Opinion::kOne, 128);
-    const RunResult result = engine.run(population, rule, rng);
-    telemetry::install_round_sink(nullptr);
+    RunResult result;
+    {
+      const telemetry::SinkScope scope({.rounds = &stream});
+      result = engine.run(population, rule, rng);
+    }
 
     if (telemetry::kCompiledIn) {
       EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
     } else {
       EXPECT_EQ(stream.rounds_seen(), 0u);
     }
+  }
+}
+
+// --- One probe, one reading, every sink -----------------------------------
+
+// Under a phase AND a PMU sink, each driver site is bracketed by ONE probe
+// whose single reading per end feeds both sinks: one round_step sample per
+// round in each, and per-phase nanosecond totals equal to the nanosecond.
+TEST(RunLoopTelemetry, OneReadingFeedsPhaseAndPmuSinksAlike) {
+  const VoterDynamics voter;
+  const AggregateParallelEngine engine(voter);
+  StopRule rule;
+  rule.max_rounds = 64;  // Voter needs ~n rounds: no consensus inside 64.
+  EnvironmentModel model;
+  model.observation_noise = 0.01;
+  model.source_flip_rounds = {10};
+  telemetry::PhaseStats phases;
+  profile::PmuPhaseStats pmu;
+  RunResult result;
+  {
+    const telemetry::SinkScope scope({.phases = &phases, .pmu = &pmu});
+    Rng rng(91);
+    result = engine.run(Configuration{4096, 2048, Opinion::kOne}, rule, model,
+                        rng);
+  }
+  ASSERT_EQ(result.rounds(), 64u);
+  const std::uint64_t rounds = telemetry::kCompiledIn ? result.rounds() : 0;
+  EXPECT_EQ(phases.count(telemetry::Phase::kRoundStep), rounds);
+  EXPECT_EQ(pmu.samples(telemetry::Phase::kRoundStep), rounds);
+  for (const telemetry::Phase phase :
+       {telemetry::Phase::kRoundStep, telemetry::Phase::kStopCheck,
+        telemetry::Phase::kFaultApply}) {
+    EXPECT_EQ(phases.count(phase) > 0, telemetry::kCompiledIn)
+        << telemetry::phase_name(phase);
+    EXPECT_EQ(phases.count(phase), pmu.samples(phase))
+        << telemetry::phase_name(phase);
+    EXPECT_EQ(phases.total_ns(phase), pmu.wall_ns(phase))
+        << telemetry::phase_name(phase);
   }
 }
 

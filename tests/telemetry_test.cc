@@ -20,6 +20,8 @@
 #include "engine/sequential.h"
 #include "engine/sharded.h"
 #include "faults/environment.h"
+#include "obs/progress.h"
+#include "profile/counters.h"
 #include "protocols/minority.h"
 #include "protocols/voter.h"
 #include "sim/parallel.h"
@@ -214,29 +216,143 @@ TEST(Reporter, WrittenFileParsesAndValidates) {
 // ---------------------------------------------------------------------------
 // Phase probes and pool counters
 
-TEST(PhaseStats, ScopedTimerRecordsOnlyWithSink) {
+TEST(PhaseStats, ProbeRecordsOnlyWithSink) {
   telemetry::PhaseStats stats;
   {  // No sink installed: nothing recorded.
-    const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
   }
   EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 0u);
 
-  telemetry::install_phase_sink(&stats);
   {
-    const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
+    const telemetry::SinkScope scope({.phases = &stats});
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
   }
-  telemetry::install_phase_sink(nullptr);
   if (telemetry::kCompiledIn) {
     EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
   } else {
     // Compiled out: the probe is an empty object and the sink stays unused.
     EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 0u);
   }
-  {  // Uninstalled again: back to silent.
-    const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
+  {  // Scope ended: back to silent.
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
   }
   EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep),
             telemetry::kCompiledIn ? 1u : 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The sink bundle
+
+class CountingRoundSink : public telemetry::RoundSink {
+ public:
+  void on_round(std::uint64_t, std::uint64_t, std::uint64_t) override {
+    rounds.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> rounds{0};
+};
+
+TEST(SinkScope, NestedScopesReplaceOnlyTheirFieldsAndRestore) {
+  const telemetry::Sinks& none = telemetry::sinks();
+  ASSERT_EQ(none.phases, nullptr) << "another test leaked a scope";
+  ASSERT_EQ(none.pmu, nullptr);
+  ASSERT_EQ(none.trace, nullptr);
+  ASSERT_EQ(none.rounds, nullptr);
+  ASSERT_EQ(none.progress, nullptr);
+
+  telemetry::PhaseStats outer_phases;
+  telemetry::PhaseStats inner_phases;
+  profile::PmuPhaseStats pmu;
+  telemetry::TraceRecorder recorder;
+  CountingRoundSink rounds;
+  obs::ProgressBoard board;
+  {
+    const telemetry::SinkScope outer(
+        {.phases = &outer_phases, .pmu = &pmu, .progress = &board});
+    const telemetry::Sinks& enclosing = telemetry::sinks();
+    {
+      const telemetry::SinkScope inner(
+          {.phases = &inner_phases, .trace = &recorder, .rounds = &rounds});
+      const telemetry::Sinks& nested = telemetry::sinks();
+      ASSERT_NE(&nested, &enclosing);
+      EXPECT_EQ(nested.phases, &inner_phases);  // Replaced.
+      EXPECT_EQ(nested.pmu, &pmu);              // Inherited.
+      EXPECT_EQ(nested.trace, &recorder);       // Added.
+      EXPECT_EQ(nested.rounds, &rounds);
+      EXPECT_EQ(nested.progress, &board);
+      // The enclosing bundle is a separate copy and stays as it was.
+      EXPECT_EQ(enclosing.phases, &outer_phases);
+      EXPECT_EQ(enclosing.trace, nullptr);
+      const telemetry::Probe probe(telemetry::Phase::kStopCheck);
+    }
+    const telemetry::Sinks& restored = telemetry::sinks();
+    ASSERT_EQ(&restored, &enclosing);
+    EXPECT_EQ(restored.phases, &outer_phases);
+    EXPECT_EQ(restored.pmu, &pmu);
+    EXPECT_EQ(restored.trace, nullptr);
+    EXPECT_EQ(restored.rounds, nullptr);
+    EXPECT_EQ(restored.progress, &board);
+    {
+      // Null fields inherit: an empty scope installs an equal copy.
+      const telemetry::SinkScope empty({});
+      EXPECT_EQ(telemetry::sinks().phases, &outer_phases);
+      EXPECT_EQ(telemetry::sinks().progress, &board);
+    }
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
+  }
+  EXPECT_EQ(&telemetry::sinks(), &none);
+  EXPECT_EQ(telemetry::sinks().phases, nullptr);
+  EXPECT_EQ(telemetry::sinks().progress, nullptr);
+
+  // Each probe fed the bundle in force when it opened.
+  const std::uint64_t expected = telemetry::kCompiledIn ? 1u : 0u;
+  EXPECT_EQ(inner_phases.count(telemetry::Phase::kStopCheck), expected);
+  EXPECT_EQ(outer_phases.count(telemetry::Phase::kStopCheck), 0u);
+  EXPECT_EQ(outer_phases.count(telemetry::Phase::kRoundStep), expected);
+  EXPECT_EQ(inner_phases.count(telemetry::Phase::kRoundStep), 0u);
+  EXPECT_EQ(pmu.samples(telemetry::Phase::kStopCheck), expected);
+  EXPECT_EQ(pmu.samples(telemetry::Phase::kRoundStep), expected);
+  EXPECT_EQ(recorder.recorded(), expected);
+}
+
+// A bare --listen run installs only a progress board and a round sink. Both
+// are fed, but no probe may take a reading: there is no phase count, PMU
+// sample or span to record, and per-round clock reads would cost the
+// exporter its 5% budget on fast engines.
+TEST(SinkScope, BoardAndRoundSinkLeaveEveryProbeDormant) {
+  obs::ProgressBoard board;
+  CountingRoundSink rounds;
+  const telemetry::SinkScope scope({.rounds = &rounds, .progress = &board});
+  {
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
+    EXPECT_FALSE(probe.active());
+    const telemetry::Probe resolved(telemetry::Phase::kStopCheck,
+                                    telemetry::sinks());
+    EXPECT_FALSE(resolved.active());
+  }
+
+  const VoterDynamics voter;
+  const AggregateParallelEngine engine(voter);
+  StopRule rule;
+  rule.max_rounds = 20;  // Voter needs ~n rounds: no consensus inside 20.
+  Rng rng(17);
+  const RunResult result =
+      engine.run(init_half(4096, Opinion::kOne), rule, rng);
+  ASSERT_EQ(result.rounds(), 20u);
+  EXPECT_EQ(board.runs_finished(), 1u);
+  EXPECT_EQ(rounds.rounds.load(),
+            telemetry::kCompiledIn ? result.rounds() + 1 : 0u);
+
+  // Any one of the three probe sinks wakes a probe.
+  telemetry::PhaseStats phases;
+  profile::PmuPhaseStats pmu;
+  telemetry::TraceRecorder recorder;
+  for (const telemetry::Sinks& given :
+       {telemetry::Sinks{.phases = &phases}, telemetry::Sinks{.pmu = &pmu},
+        telemetry::Sinks{.trace = &recorder}}) {
+    const telemetry::SinkScope woken(given);
+    const telemetry::Probe probe(telemetry::Phase::kRoundStep);
+    EXPECT_EQ(probe.active(), telemetry::kCompiledIn);
+  }
 }
 
 TEST(PoolTelemetry, CountsItemsAndGenerationsExactly) {
@@ -364,9 +480,11 @@ std::uint64_t all_engines_digest() {
 TEST(TelemetryDeterminism, RuntimeSinkDoesNotPerturbAnyEngine) {
   const std::uint64_t without_sink = all_engines_digest();
   telemetry::PhaseStats stats;
-  telemetry::install_phase_sink(&stats);
-  const std::uint64_t with_sink = all_engines_digest();
-  telemetry::install_phase_sink(nullptr);
+  std::uint64_t with_sink = 0;
+  {
+    const telemetry::SinkScope scope({.phases = &stats});
+    with_sink = all_engines_digest();
+  }
   EXPECT_EQ(without_sink, with_sink);
 }
 
@@ -390,11 +508,11 @@ TEST(TelemetryDeterminism, FlightRecorderDoesNotPerturbAnyEngine) {
   telemetry::TraceRecorder recorder;
   telemetry::RoundStream stream(testing::TempDir() + "/digest_rounds.jsonl");
   ASSERT_TRUE(stream.ok());
-  telemetry::install_trace_recorder(&recorder);
-  telemetry::install_round_sink(&stream);
-  const std::uint64_t with_recorder = all_engines_digest();
-  telemetry::install_round_sink(nullptr);
-  telemetry::install_trace_recorder(nullptr);
+  std::uint64_t with_recorder = 0;
+  {
+    const telemetry::SinkScope scope({.trace = &recorder, .rounds = &stream});
+    with_recorder = all_engines_digest();
+  }
   EXPECT_EQ(with_recorder, kGoldenAllEnginesDigest)
       << "flight recorder perturbed a run payload";
   if (telemetry::kCompiledIn) {

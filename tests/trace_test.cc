@@ -330,19 +330,16 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
   const std::string path = testing::TempDir() + "/probe_rounds.jsonl";
   telemetry::RoundStream stream(path);
   ASSERT_TRUE(stream.ok());
-  telemetry::install_trace_recorder(&recorder);
-  telemetry::install_round_sink(&stream);
-
   const VoterDynamics voter;
   const AggregateParallelEngine engine(voter);
   StopRule rule;
   rule.max_rounds = 50;  // Voter needs ~n rounds: no consensus inside 50.
   Rng rng(11);
-  const RunResult result =
-      engine.run(init_half(4096, Opinion::kOne), rule, rng);
-
-  telemetry::install_round_sink(nullptr);
-  telemetry::install_trace_recorder(nullptr);
+  RunResult result;
+  {
+    const telemetry::SinkScope scope({.trace = &recorder, .rounds = &stream});
+    result = engine.run(init_half(4096, Opinion::kOne), rule, rng);
+  }
 
   if (telemetry::kCompiledIn) {
     ASSERT_EQ(result.rounds(), 50u);
@@ -361,12 +358,13 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
 
 TEST(TraceProbes, WorkerPoolRecordsBusySpans) {
   TraceRecorder recorder;
-  telemetry::install_trace_recorder(&recorder);
   std::atomic<int> executed{0};
-  parallel_for(
-      256, [&](int) { executed.fetch_add(1, std::memory_order_relaxed); },
-      /*max_threads=*/3);
-  telemetry::install_trace_recorder(nullptr);
+  {
+    const telemetry::SinkScope scope({.trace = &recorder});
+    parallel_for(
+        256, [&](int) { executed.fetch_add(1, std::memory_order_relaxed); },
+        /*max_threads=*/3);
+  }
   ASSERT_EQ(executed.load(), 256);
 
   if (telemetry::kCompiledIn) {

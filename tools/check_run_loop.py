@@ -31,6 +31,14 @@ walkers legitimately draw uniforms:
                                graph-only by its eligibility rule, and its
                                per-lane draws go through the Floyd sampler
 
+Since the sink-bundle refactor, run observation has one process-wide slot:
+the telemetry::Sinks bundle behind SinkScope. A new global atomic pointer
+(`std::atomic<T*> g_name`) would be a second, hand-wired slot beside it, so
+the `global_slot` token allows exactly two owners:
+
+    src/telemetry/telemetry.cc  -- the sink bundle
+    src/snapshot/checkpoint.cc  -- the checkpointer
+
 Comments do not count as call-sites. Tests are out of scope: they exercise
 the primitives deliberately. Exit status 0 = clean, 1 = violation,
 2 = bad input.
@@ -60,6 +68,9 @@ TOKENS = {
     # Topology::sample_neighbors_distinct, which picks the right population
     # (all agents vs. a CSR row) per agent.
     "floyd_direct": re.compile(r"\bsampler\s*(?:\.|->)\s*sample(?:_batch)?\s*\("),
+    # A process-wide pointer slot: std::atomic<T*> g_name. Atomics of
+    # non-pointer types (epochs, flags) are not slots.
+    "global_slot": re.compile(r"\bstd::atomic\s*<[^<>;]*\*\s*>\s*g_\w*"),
 }
 
 # Maps a token to the path prefixes it is checked under; tokens absent here
@@ -81,6 +92,8 @@ ALLOWLIST = (
     ("src/telemetry/", {"record_round"}),
     ("bench/perf_smoke.cc", {"record_round"}),
     ("src/engine/kernel/", {"uniform_probe", "floyd_direct"}),
+    ("src/telemetry/telemetry.cc", {"global_slot"}),
+    ("src/snapshot/checkpoint.cc", {"global_slot"}),
 )
 
 
@@ -344,6 +357,28 @@ def self_test():
                    "a.sampler->sample_batch(a.n, a.ell, view, sample);\n")
             assert scan_tree(tmp) == [], "kernel backends are allowlisted"
 
+    def test_global_slot_flagged():
+        with tempfile.TemporaryDirectory() as tmp:
+            _write(tmp, "src/obs/progress.cc",
+                   "std::atomic<ProgressBoard*> g_board{nullptr};\n"
+                   "std::atomic<const Sinks *> g_other{&kNone};\n")
+            found = scan_tree(tmp)
+            assert found == [
+                ("src/obs/progress.cc", 1, "global_slot"),
+                ("src/obs/progress.cc", 2, "global_slot"),
+            ], found
+
+    def test_global_slot_owners_and_non_pointers_pass():
+        with tempfile.TemporaryDirectory() as tmp:
+            _write(tmp, "src/telemetry/telemetry.cc",
+                   "std::atomic<const Sinks*> g_sinks{&kNoSinks};\n")
+            _write(tmp, "src/snapshot/checkpoint.cc",
+                   "std::atomic<Checkpointer*> g_checkpointer{nullptr};\n")
+            _write(tmp, "src/telemetry/trace.cc",
+                   "std::atomic<std::uint64_t> g_trace_epoch{0};\n"
+                   "std::atomic<Lane*> head_{nullptr};\n")
+            assert scan_tree(tmp) == [], "the two owners and non-slots pass"
+
     print("check_run_loop self-test:")
     case("clean tree passes", test_clean_tree)
     case("engine call-site is flagged", test_engine_call_site_flagged)
@@ -357,6 +392,9 @@ def self_test():
     case("direct Floyd calls flagged in engines", test_floyd_direct_flagged_in_engine)
     case("topology tokens scoped to src/engine/", test_topology_tokens_scoped_to_engine)
     case("kernel backends allowlisted", test_kernel_is_allowlisted)
+    case("global pointer slot is flagged", test_global_slot_flagged)
+    case("slot owners and non-pointer atomics pass",
+         test_global_slot_owners_and_non_pointers_pass)
     if failures:
         print(f"self-test: {len(failures)} failure(s)", file=sys.stderr)
         return 1

@@ -21,9 +21,9 @@ which the median makes robust to one outlier run on each side.
 Both inputs are unified bench reports ("bitspread-bench/1") written by
 perf_smoke: BASELINE from the default build, TELEMETRY from the
 BITSPREAD_TELEMETRY=ON build with NO sink installed. The compiled-in but
-unsinked probes — the ScopedTimer phase probes AND the §3.8 PMU scopes /
-kernel sub-phase markers, which in a telemetry build always pay their
-one relaxed sink load per probe site — must stay within `--max-regression`
+unsinked probes — the telemetry::Probe phase probes AND the §3.8 kernel
+sub-phase markers, which in a telemetry build always pay one sink-bundle
+pointer load per probe site — must stay within `--max-regression`
 (default 5%) of the baseline throughput on every benchmark; a faster
 telemetry build always passes.
 
