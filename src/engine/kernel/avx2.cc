@@ -4,13 +4,20 @@
 // this translation unit only (see src/CMakeLists.txt); resolve() never
 // dispatches here unless cpuid reports AVX2.
 //
+// On a graph (CsrRows) each word first reads its 64 degrees and row starts
+// off its 65 offsets; each 8-slot half then multiplies by the per-slot
+// degrees (vpmuludq), gathers the sampled neighbors from the CSR rows
+// (vpgatherdd) and their bits from the plane.
+// A word whose rows span 2^31 entries or more (past the gather's signed
+// 32-bit index) takes the canonical scalar map instead.
+//
 // Bit-identity with the scalar backend (enforced by tests): the vector
-// index path reproduces fill_index_row exactly. Lane state lives in ymm
+// index path reproduces indices_from_row exactly. Lane state lives in ymm
 // registers across the block; on the rare Lemire rejection the registers
-// are spilled to the canonical LaneRng storage, the rejected slots redraw
-// scalar-side in ascending slot order, and the registers reload — so
-// redraws come from the same single-lane stream positions as the scalar
-// schedule.
+// are spilled to the canonical LaneRng storage, the half's slots resolve
+// through the canonical map_slot in ascending slot order, and the
+// registers reload — so redraws come from the same single-lane stream
+// positions as the scalar schedule.
 #include "engine/kernel/backend_impl.h"
 
 #if defined(BITSPREAD_KERNEL_HAVE_AVX2)
@@ -24,17 +31,59 @@ namespace {
 struct Avx2Filler {
   explicit Avx2Filler(LaneRng& lanes) noexcept : lanes_(lanes) { load(); }
 
-  void fill_lanes(const BlockArgs& a, std::uint64_t* L) noexcept {
+  void fill_lanes(const BlockArgs& a, std::uint64_t word,
+                  std::uint64_t* L) noexcept {
+    if (a.offsets == nullptr) {
+      fill_lanes_complete(a, L);
+    } else {
+      fill_lanes_csr(a, word, L);
+    }
+  }
+
+  void gather_pack(const BlockArgs& a, std::uint64_t* L) noexcept {
+    const int* plane32 = reinterpret_cast<const int*>(a.current);
+    for (std::uint32_t j = 0; j < a.ell; ++j) {
+      const std::uint32_t* idx_base =
+          a.index_scratch + static_cast<std::size_t>(j) * 64;
+      std::uint64_t word = 0;
+      for (unsigned g = 0; g < 8; ++g) {
+        const __m256i idx = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(idx_base + 8 * g));
+        word |= static_cast<std::uint64_t>(gather_bits(plane32, idx))
+                << (8 * g);
+      }
+      L[j] = word;
+    }
+  }
+
+ private:
+  // Unsigned 32-bit compare via sign-bias: x < y iff
+  // (x ^ 2^31) <s (y ^ 2^31).
+  static __m256i less_u32(__m256i x, __m256i y) noexcept {
+    const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+    return _mm256_cmpgt_epi32(_mm256_xor_si256(y, bias),
+                              _mm256_xor_si256(x, bias));
+  }
+
+  // The plane bits of 8 agents, packed into the low 8 bits.
+  static std::uint32_t gather_bits(const int* plane32,
+                                   __m256i agents) noexcept {
+    const __m256i gathered = _mm256_i32gather_epi32(
+        plane32, _mm256_srli_epi32(agents, 5), 4);
+    const __m256i bit_in_sign = _mm256_slli_epi32(
+        _mm256_srlv_epi32(gathered,
+                          _mm256_and_si256(agents, _mm256_set1_epi32(31))),
+        31);
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(bit_in_sign)));
+  }
+
+  void fill_lanes_complete(const BlockArgs& a, std::uint64_t* L) noexcept {
     const auto n32 = static_cast<std::uint32_t>(a.n);
     const std::uint32_t thresh = a.index_threshold;
     const __m256i vn = _mm256_set1_epi64x(n32);
     const __m256i lowmask = _mm256_set1_epi64x(0xffffffffLL);
-    const __m256i v31 = _mm256_set1_epi32(31);
-    // Unsigned 32-bit compare via sign-bias: lo < thresh iff
-    // (lo ^ 2^31) <s (thresh ^ 2^31).
-    const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-    const __m256i vthresh =
-        _mm256_set1_epi32(static_cast<int>(thresh ^ 0x80000000u));
+    const __m256i vthresh = _mm256_set1_epi32(static_cast<int>(thresh));
     const int* plane32 = reinterpret_cast<const int*>(a.current);
 
     for (std::uint32_t j = 0; j < a.ell; ++j) {
@@ -60,19 +109,13 @@ struct Avx2Filler {
                 _mm256_and_si256(prod_even, lowmask),
                 _mm256_slli_epi64(_mm256_and_si256(prod_odd, lowmask), 32),
                 0xAA);
-            const __m256i rejected = _mm256_cmpgt_epi32(
-                vthresh, _mm256_xor_si256(low, bias));
+            const __m256i rejected = less_u32(low, vthresh);
             if (!_mm256_testz_si256(rejected, rejected)) {
-              idx = redraw_rejected(idx, low, thresh, n32, h);
+              idx = redraw_rejected(v, _mm256_set1_epi32(
+                                           static_cast<int>(n32)), h);
             }
           }
-          const __m256i gathered = _mm256_i32gather_epi32(
-              plane32, _mm256_srli_epi32(idx, 5), 4);
-          const __m256i bit_in_sign = _mm256_slli_epi32(
-              _mm256_srlv_epi32(gathered, _mm256_and_si256(idx, v31)), 31);
-          const auto mask8 = static_cast<std::uint32_t>(
-              _mm256_movemask_ps(_mm256_castsi256_ps(bit_in_sign)));
-          bits16 |= mask8 << (8 * h);
+          bits16 |= gather_bits(plane32, idx) << (8 * h);
         }
         lane_word |= static_cast<std::uint64_t>(bits16) << (16 * quartet);
       }
@@ -80,49 +123,83 @@ struct Avx2Filler {
     }
   }
 
-  void gather_pack(const BlockArgs& a, std::uint64_t* L) noexcept {
+  void fill_lanes_csr(const BlockArgs& a, std::uint64_t word,
+                      std::uint64_t* L) noexcept {
+    const std::uint64_t base = word * 64;
+    const std::uint64_t* offsets = a.offsets + base;
+    const unsigned valid =
+        a.n - base < 64 ? static_cast<unsigned>(a.n - base) : 64u;
+    const std::uint64_t first = offsets[0];
+    if (offsets[valid] - first >= (std::uint64_t{1} << 31)) {
+      store();
+      detail::fill_lanes_canonical(a, detail::CsrRows(a, word), lanes_, L);
+      load();
+      return;
+    }
+    // Per-agent degree and row start relative to `first`; padding slots of
+    // a tail word get degree 1 at relative start 0 (as in CsrRows).
+    alignas(32) std::uint32_t degree[64];
+    alignas(32) std::uint32_t start[64];
+    for (unsigned s = 0; s < 64; ++s) {
+      degree[s] =
+          s < valid ? static_cast<std::uint32_t>(offsets[s + 1] - offsets[s])
+                    : 1;
+      start[s] = s < valid ? static_cast<std::uint32_t>(offsets[s] - first)
+                           : 0;
+    }
+    const int* adjacency = reinterpret_cast<const int*>(a.adjacency + first);
     const int* plane32 = reinterpret_cast<const int*>(a.current);
-    const __m256i v31 = _mm256_set1_epi32(31);
+
     for (std::uint32_t j = 0; j < a.ell; ++j) {
-      const std::uint32_t* idx_base =
-          a.index_scratch + static_cast<std::size_t>(j) * 64;
-      std::uint64_t word = 0;
-      for (unsigned g = 0; g < 8; ++g) {
-        const __m256i idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(idx_base + 8 * g));
-        const __m256i gathered = _mm256_i32gather_epi32(
-            plane32, _mm256_srli_epi32(idx, 5), 4);
-        const __m256i bit_in_sign = _mm256_slli_epi32(
-            _mm256_srlv_epi32(gathered, _mm256_and_si256(idx, v31)), 31);
-        const auto mask8 = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(bit_in_sign)));
-        word |= static_cast<std::uint64_t>(mask8) << (8 * g);
+      std::uint64_t lane_word = 0;
+      for (unsigned quartet = 0; quartet < 4; ++quartet) {
+        const __m256i row_a = step_a();
+        const __m256i row_b = step_b();
+        std::uint32_t bits16 = 0;
+        const __m256i halves[2] = {row_a, row_b};
+        for (unsigned h = 0; h < 2; ++h) {
+          const unsigned slot = 16 * quartet + 8 * h;
+          const __m256i v = halves[h];
+          const __m256i deg = _mm256_load_si256(
+              reinterpret_cast<const __m256i*>(degree + slot));
+          const __m256i prod_even = _mm256_mul_epu32(v, deg);
+          const __m256i prod_odd = _mm256_mul_epu32(
+              _mm256_srli_epi64(v, 32), _mm256_srli_epi64(deg, 32));
+          __m256i idx = _mm256_blend_epi32(_mm256_srli_epi64(prod_even, 32),
+                                           prod_odd, 0xAA);
+          const __m256i low = _mm256_blend_epi32(
+              prod_even, _mm256_slli_epi64(prod_odd, 32), 0xAA);
+          // Only a low half below the degree can be rejected.
+          const __m256i suspect = less_u32(low, deg);
+          if (!_mm256_testz_si256(suspect, suspect)) [[unlikely]] {
+            idx = redraw_rejected(v, deg, h);
+          }
+          const __m256i row_start = _mm256_load_si256(
+              reinterpret_cast<const __m256i*>(start + slot));
+          const __m256i neighbors = _mm256_i32gather_epi32(
+              adjacency, _mm256_add_epi32(row_start, idx), 4);
+          bits16 |= gather_bits(plane32, neighbors) << (8 * h);
+        }
+        lane_word |= static_cast<std::uint64_t>(bits16) << (16 * quartet);
       }
-      L[j] = word;
+      L[j] = lane_word;
     }
   }
 
- private:
-  // Cold path: spill register lanes to the canonical storage, redraw the
-  // rejected slots of half `h` scalar-side (slot s redraws from lane
-  // ⌊s/2⌋), reload. Returns the corrected index vector.
-  __attribute__((noinline)) __m256i redraw_rejected(__m256i idx, __m256i low,
-                                                    std::uint32_t thresh,
-                                                    std::uint32_t n32,
+  // Cold path: spill register lanes to the canonical storage, resolve the 8
+  // slots of half `h` (draw halves `v`, bounds `bound`) through map_slot in
+  // ascending slot order — slot s redraws from lane ⌊s/2⌋ — and reload.
+  // Unrejected slots map to their vector result without drawing.
+  __attribute__((noinline)) __m256i redraw_rejected(__m256i v, __m256i bound,
                                                     unsigned h) noexcept {
     store();
+    alignas(32) std::uint32_t halves[8];
+    alignas(32) std::uint32_t bounds[8];
     alignas(32) std::uint32_t idxs[8];
-    alignas(32) std::uint32_t lows[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), idx);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lows), low);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(halves), v);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(bounds), bound);
     for (unsigned s = 0; s < 8; ++s) {
-      while (lows[s] < thresh) {
-        const auto redraw =
-            static_cast<std::uint32_t>(lanes_.next((h * 8 + s) >> 1));
-        const std::uint64_t m = static_cast<std::uint64_t>(redraw) * n32;
-        lows[s] = static_cast<std::uint32_t>(m);
-        idxs[s] = static_cast<std::uint32_t>(m >> 32);
-      }
+      idxs[s] = map_slot(lanes_, (h * 8 + s) >> 1, halves[s], bounds[s]);
     }
     load();
     return _mm256_load_si256(reinterpret_cast<const __m256i*>(idxs));

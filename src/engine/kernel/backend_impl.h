@@ -7,18 +7,34 @@
 // construction and differ only in how fast they turn RNG lanes into
 // gathered bit-lanes.
 //
+// Row maps. Slot s of quartet q in a word's index rows belongs to agent
+// base + 16q + s. A row map is the compile-time policy that says what that
+// slot samples: CompleteRows draws in [0, n) and the index is the agent
+// (the complete graph, kernel/2 verbatim); CsrRows draws in [0, deg(v)) and
+// sends the index through v's CSR row. The sampling loops are instantiated
+// per row map, and one branch per word on BlockArgs::offsets picks the
+// instantiation, so the complete path runs its own loops with no per-slot
+// degree work while the fault, count, decide and commit stages below exist
+// once per backend. A row map provides
+//   degree(agent) / neighbor(agent, index)
+//                             one agent's bound and row lookup;
+//   map(lanes, row, first, out)
+//                             indices_from_row for slots [first, first+16)
+//                             of the word, mapped to agents.
+//
 // Filler contract (one instance per block, constructed over the block's
 // LaneRng):
-//   void fill_lanes(const BlockArgs&, std::uint64_t* L)
+//   void fill_lanes(const BlockArgs&, std::uint64_t word, std::uint64_t* L)
 //       With-replacement sampling for one word: L[j] bit a = opinion bit of
 //       the j-th sample of agent a. Must consume randomness exactly like
-//       the canonical schedule: for each sample j (outer) and agent quartet
-//       q (inner), one fill_index_row — i.e. one draw per lane, plus
-//       single-lane redraws for rejected slots in ascending slot order.
+//       the canonical schedule (fill_lanes_canonical): for each sample j
+//       (outer) and agent quartet q (inner), one row of lane draws mapped
+//       by indices_from_row — i.e. one draw per lane, plus single-lane
+//       redraws for rejected slots in ascending slot order.
 //   void gather_pack(const BlockArgs&, std::uint64_t* L)
 //       Without-replacement mode: indices were already drawn (Floyd, on the
-//       per-agent lanes) into index_scratch, lane-major (slot j * 64 + a);
-//       gather them into L. Consumes no randomness.
+//       per-agent lanes) and mapped to agents into index_scratch, lane-major
+//       (slot j * 64 + a); gather them into L. Consumes no randomness.
 #ifndef BITSPREAD_ENGINE_KERNEL_BACKEND_IMPL_H_
 #define BITSPREAD_ENGINE_KERNEL_BACKEND_IMPL_H_
 
@@ -115,12 +131,133 @@ inline std::uint64_t decide(const BitCount& count, const CircuitTable& table,
   return acc;
 }
 
+// The complete graph: every slot draws in [0, n) and the index is the
+// agent itself.
+struct CompleteRows {
+  explicit CompleteRows(const BlockArgs& a) noexcept {
+    std::fill_n(bound, 16, static_cast<std::uint32_t>(a.n));
+  }
+  std::uint64_t degree(unsigned) const noexcept { return bound[0]; }
+  std::uint32_t neighbor(unsigned, std::uint64_t index) const noexcept {
+    return static_cast<std::uint32_t>(index);
+  }
+  void map(LaneRng& lanes, const std::uint64_t row[LaneRng::kLanes],
+           unsigned, std::uint32_t out[16]) const noexcept {
+    indices_from_row(lanes, row, bound, out);
+  }
+
+  std::uint32_t bound[16];  // n in every slot.
+};
+
+// A structured graph: slot a of `word` draws in [0, deg(base + a)) and
+// reads that agent's CSR row. Padding slots of a tail word get degree 1 at
+// the word's first row entry, so every read stays in bounds (their bits
+// are masked off at commit).
+struct CsrRows {
+  CsrRows(const BlockArgs& a, std::uint64_t word) noexcept {
+    const std::uint64_t base = word * 64;
+    const std::uint64_t* offsets = a.offsets + base;
+    const unsigned valid =
+        a.n - base < 64 ? static_cast<unsigned>(a.n - base) : 64u;
+    for (unsigned s = 0; s < valid; ++s) {
+      row[s] = a.adjacency + offsets[s];
+      bound[s] = static_cast<std::uint32_t>(offsets[s + 1] - offsets[s]);
+    }
+    for (unsigned s = valid; s < 64; ++s) {
+      row[s] = a.adjacency + offsets[0];
+      bound[s] = 1;
+    }
+  }
+  std::uint64_t degree(unsigned agent) const noexcept { return bound[agent]; }
+  std::uint32_t neighbor(unsigned agent, std::uint64_t index) const noexcept {
+    return row[agent][index];
+  }
+  void map(LaneRng& lanes, const std::uint64_t draws[LaneRng::kLanes],
+           unsigned first, std::uint32_t out[16]) const noexcept {
+    indices_from_row(lanes, draws, bound + first, out);
+    for (unsigned s = 0; s < 16; ++s) out[s] = row[first + s][out[s]];
+  }
+
+  std::uint32_t bound[64];
+  const std::uint32_t* row[64];
+};
+
+inline std::uint64_t gather_bit(const std::uint64_t* plane,
+                                std::uint32_t index) noexcept {
+  return (plane[index >> 6] >> (index & 63)) & 1;
+}
+
+// One draw from every lane, in lane order: the canonical row.
+inline void draw_row(LaneRng& lanes, std::uint64_t* row) noexcept {
+  lanes.fill_row(row);
+}
+
+using DrawRowFn = void (*)(LaneRng&, std::uint64_t*) noexcept;
+
+// The canonical with-replacement fill for one word (scalar and NEON
+// backends, and the AVX2 backend's fallback): per sample j and quartet q,
+// DrawRow draws one value from every lane, the row map turns the row into
+// 16 agents, and their plane bits are packed.
+template <typename Rows, DrawRowFn DrawRow = draw_row>
+void fill_lanes_canonical(const BlockArgs& a, const Rows& rows,
+                          LaneRng& lanes, std::uint64_t* L) noexcept {
+  for (std::uint32_t j = 0; j < a.ell; ++j) {
+    std::uint64_t lane_word = 0;
+    for (unsigned quartet = 0; quartet < 4; ++quartet) {
+      std::uint64_t row[LaneRng::kLanes];
+      DrawRow(lanes, row);
+      std::uint32_t idx[16];
+      rows.map(lanes, row, 16 * quartet, idx);
+      std::uint64_t bits16 = 0;
+      for (unsigned s = 0; s < 16; ++s) {
+        bits16 |= gather_bit(a.current, idx[s]) << s;
+      }
+      lane_word |= bits16 << (16 * quartet);
+    }
+    L[j] = lane_word;
+  }
+}
+
+// A filler built on the canonical map and gather: the scalar backend as
+// is, the NEON backend with its vector DrawRow.
+template <DrawRowFn DrawRow = draw_row>
+struct CanonicalFiller {
+  explicit CanonicalFiller(LaneRng& lanes) noexcept : lanes_(lanes) {}
+
+  void fill_lanes(const BlockArgs& a, std::uint64_t word,
+                  std::uint64_t* L) noexcept {
+    if (a.offsets == nullptr) {
+      fill_lanes_canonical<CompleteRows, DrawRow>(a, CompleteRows(a), lanes_,
+                                                  L);
+    } else {
+      fill_lanes_canonical<CsrRows, DrawRow>(a, CsrRows(a, word), lanes_, L);
+    }
+  }
+
+  void gather_pack(const BlockArgs& a, std::uint64_t* L) noexcept {
+    for (std::uint32_t j = 0; j < a.ell; ++j) {
+      const std::uint32_t* idx =
+          a.index_scratch + static_cast<std::size_t>(j) * 64;
+      std::uint64_t word = 0;
+      for (unsigned agent = 0; agent < 64; ++agent) {
+        word |= gather_bit(a.current, idx[agent]) << agent;
+      }
+      L[j] = word;
+    }
+  }
+
+ private:
+  LaneRng& lanes_;
+};
+
 // Without-replacement index stage: each updating agent a draws a Floyd
-// l-subset from lane (a & 7), agents in ascending order, into index_scratch
-// lane-major. Non-updating agents draw nothing (their slots are zeroed so
-// backend gathers stay in bounds; the results are discarded by masking).
-inline void fill_distinct_indices(const BlockArgs& a, LaneRng& lanes,
-                                  std::uint64_t update) {
+// l-subset of [0, degree) from lane (a & 7), agents in ascending order, and
+// stores the sampled agents into index_scratch lane-major. Non-updating
+// agents draw nothing (their slots are zeroed so backend gathers stay in
+// bounds; the results are discarded by masking).
+template <typename Rows>
+void fill_distinct_indices(const BlockArgs& a, const Rows& rows,
+                           LaneRng& lanes, std::uint64_t update) {
   std::uint32_t* idx = a.index_scratch;
   if (update != ~std::uint64_t{0}) {
     std::fill_n(idx, static_cast<std::size_t>(a.ell) * 64, 0u);
@@ -129,9 +266,9 @@ inline void fill_distinct_indices(const BlockArgs& a, LaneRng& lanes,
   for (unsigned agent = 0; agent < 64; ++agent) {
     if (((update >> agent) & 1) == 0) continue;
     LaneRng::LaneView view = lanes.lane_view(agent & 7);
-    a.sampler->sample_batch(a.n, a.ell, view, sample);
+    a.sampler->sample_batch(rows.degree(agent), a.ell, view, sample);
     for (std::uint32_t j = 0; j < a.ell; ++j) {
-      idx[j * 64 + agent] = static_cast<std::uint32_t>(sample[j]);
+      idx[j * 64 + agent] = rows.neighbor(agent, sample[j]);
     }
   }
 }
@@ -178,9 +315,13 @@ void process_block_impl(const BlockArgs& a) {
     // 1. Sample: l lane words, bit a of L[j] = sample j of agent a.
     prof.enter(telemetry::Phase::kKernelGather);
     if (!a.without_replacement) {
-      filler.fill_lanes(a, L);
+      filler.fill_lanes(a, w, L);
     } else {
-      fill_distinct_indices(a, lanes, update);
+      if (a.offsets == nullptr) {
+        fill_distinct_indices(a, CompleteRows(a), lanes, update);
+      } else {
+        fill_distinct_indices(a, CsrRows(a, w), lanes, update);
+      }
       filler.gather_pack(a, L);
     }
 

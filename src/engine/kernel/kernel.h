@@ -10,7 +10,11 @@
 //   1. *Sample.* Generate 64 x l indices per word from eight interleaved
 //      xoshiro lanes (random/lanes.h), exact-uniform via 32-bit Lemire
 //      rejection, and gather the sampled opinion bits into l "lane words"
-//      (bit a of lane word j = sample j of agent a).
+//      (bit a of lane word j = sample j of agent a). On the complete graph
+//      an index is uniform on [0, n) and is the sampled agent; on a
+//      structured graph it is uniform on [0, deg(v)) and is sent through
+//      agent v's CSR row (BlockArgs::offsets/adjacency) — the same lane
+//      order and rejection rule with a bound per slot.
 //   2. *Count.* Ripple-add the l lane words into ceil(log2(l+1)) bitsliced
 //      count words.
 //   3. *Decide.* OR together equality masks for every k with g(own,k) = 1,
@@ -25,10 +29,11 @@
 // draws each (Binomial(64, p) count + Floyd positions) instead of 64.
 //
 // Stream schedule: the kernel defines its own per-(round, block) draw
-// order, "kernel/2" (DESIGN.md section 3.6) — golden digests differ from the
-// legacy "kernel/1" schedule, but the sampled distribution is identical
-// (pinned by cross-validation tests), and determinism across thread/shard
-// counts is untouched because streams are still keyed by (round, block).
+// order, "kernel/2" (DESIGN.md section 3.6; on graphs, kernel/2 over rows)
+// — golden digests differ from the legacy "kernel/1" schedule, but the
+// sampled distribution is identical (pinned by cross-validation tests), and
+// determinism across thread/shard counts is untouched because streams are
+// still keyed by (round, block).
 // Backends (portable scalar-word, AVX2, NEON) implement one stream schedule:
 // they produce bit-identical populations and differ only in speed.
 #ifndef BITSPREAD_ENGINE_KERNEL_KERNEL_H_
@@ -67,7 +72,8 @@ const char* backend_name(Backend backend) noexcept;
 
 // Eligibility limits. Above kMaxEll the {0,1/2,1} masks would outgrow their
 // fixed-width storage; at or above 2^32 agents the 32-bit index generator
-// loses exactness. Both fall back to the legacy loop.
+// loses exactness. Both fall back to the legacy loop, as do fractional
+// g-tables and stateful protocols; the graph never does.
 inline constexpr std::uint32_t kMaxEll = 128;
 inline constexpr std::uint64_t kMaxAgents = (std::uint64_t{1} << 32) - 1;
 
@@ -110,6 +116,10 @@ struct BlockArgs {
   std::uint64_t first_word = 0;
   std::uint64_t word_count = 0;
   std::uint64_t lane_seed = 0;  // Per-(round, block) kernel/2 master seed.
+  // The graph's CSR rows (Topology::offsets() / adjacency()); both nullptr
+  // on the complete graph, where every draw is uniform on [0, n).
+  const std::uint64_t* offsets = nullptr;
+  const std::uint32_t* adjacency = nullptr;
   const CircuitTable* table = nullptr;
   const FaultChannels* faults = nullptr;  // nullptr = fault-free step.
   bool without_replacement = false;

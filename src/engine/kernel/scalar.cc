@@ -1,57 +1,14 @@
 // Portable scalar-word backend: the canonical realization of the kernel/2
-// schedule, built directly on fill_index_row. Runs everywhere; the SIMD
-// backends are measured (and digest-tested) against it.
+// schedule (detail::CanonicalFiller over LaneRng::fill_row and
+// indices_from_row). Runs everywhere; the SIMD backends are measured (and
+// digest-tested) against it.
 #include "engine/kernel/backend_impl.h"
 
 namespace bitspread {
 namespace kernel {
-namespace {
-
-inline std::uint64_t gather_bit(const std::uint64_t* plane,
-                                std::uint32_t index) noexcept {
-  return (plane[index >> 6] >> (index & 63)) & 1;
-}
-
-struct ScalarFiller {
-  explicit ScalarFiller(LaneRng& lanes) noexcept : lanes_(lanes) {}
-
-  void fill_lanes(const BlockArgs& a, std::uint64_t* L) noexcept {
-    const auto n32 = static_cast<std::uint32_t>(a.n);
-    for (std::uint32_t j = 0; j < a.ell; ++j) {
-      std::uint64_t lane_word = 0;
-      for (unsigned quartet = 0; quartet < 4; ++quartet) {
-        std::uint32_t idx[16];
-        fill_index_row(lanes_, n32, a.index_threshold, idx);
-        std::uint64_t bits16 = 0;
-        for (unsigned s = 0; s < 16; ++s) {
-          bits16 |= gather_bit(a.current, idx[s]) << s;
-        }
-        lane_word |= bits16 << (16 * quartet);
-      }
-      L[j] = lane_word;
-    }
-  }
-
-  void gather_pack(const BlockArgs& a, std::uint64_t* L) noexcept {
-    for (std::uint32_t j = 0; j < a.ell; ++j) {
-      const std::uint32_t* idx =
-          a.index_scratch + static_cast<std::size_t>(j) * 64;
-      std::uint64_t word = 0;
-      for (unsigned agent = 0; agent < 64; ++agent) {
-        word |= gather_bit(a.current, idx[agent]) << agent;
-      }
-      L[j] = word;
-    }
-  }
-
- private:
-  LaneRng& lanes_;
-};
-
-}  // namespace
 
 BlockFn scalar_block_fn() noexcept {
-  return &detail::process_block_impl<ScalarFiller>;
+  return &detail::process_block_impl<detail::CanonicalFiller<>>;
 }
 
 }  // namespace kernel

@@ -481,12 +481,6 @@ bool ShardedAgentEngine::prepare_kernel(Population& population,
   if (memoryless_ == nullptr) {
     return fail("stateful protocol: kernel models memory-less g-tables only");
   }
-  if (options_.topology != nullptr && !options_.topology->is_complete()) {
-    // Explicit eligibility rule for the topology seam: the bitslice kernel
-    // samples uniformly over [0, n) per lane; CSR rows need per-agent
-    // gathers it does not model, so structured graphs take the legacy loop.
-    return fail("structured topology: kernel samples uniformly over [0, n)");
-  }
   const std::uint64_t n = population.n_;
   if (n == 0 || n > kernel::kMaxAgents) {
     return fail("population size outside kernel range");
@@ -494,12 +488,17 @@ bool ShardedAgentEngine::prepare_kernel(Population& population,
   if (ell == 0 || ell > kernel::kMaxEll) {
     return fail("sample size outside kernel range");
   }
-  if (options_.sampling == Sampling::kWithoutReplacement && ell > n) {
+  if (options_.sampling == Sampling::kWithoutReplacement &&
+      ell > topology_of(population).min_degree()) {
     return fail("without-replacement sample larger than population");
   }
   const kernel::Backend backend = kernel::resolve(options_.kernel);
+  if (backend == kernel::Backend::kLegacy) {
+    return fail("legacy loop requested");
+  }
+  // resolve() only returns backends this build and host can run.
   plan.fn = kernel::block_fn(backend);
-  if (plan.fn == nullptr) return fail("requested backend unavailable");
+  assert(plan.fn != nullptr);
   if (!population.circuit_.classify(population.gtable_.data(), ell)) {
     // Fractional g (e.g. voter at l > 1): legacy loop.
     return fail("fractional g-table: no boolean circuit form");
@@ -557,6 +556,11 @@ void ShardedAgentEngine::process_block_kernel(
   args.first_word = block * kBlockWords;
   args.word_count = std::min(words - args.first_word, kBlockWords);
   args.lane_seed = lane_seed;
+  const Topology& topology = topology_of(population);
+  if (!topology.is_complete()) {
+    args.offsets = topology.offsets().data();
+    args.adjacency = topology.adjacency().data();
+  }
   args.table = &population.circuit_;
   args.faults = plan.faulty ? &plan.faults : nullptr;
   args.without_replacement =

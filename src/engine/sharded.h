@@ -56,18 +56,18 @@ struct ShardedEngineOptions {
       AgentParallelEngine::Sampling::kWithReplacement;
   // Step-kernel backend (engine/kernel/kernel.h). kAuto engages the fastest
   // bitslice backend whenever the round is eligible ({0,1/2,1}-valued
-  // g-table, n < 2^32, l <= 128); ineligible rounds — and kLegacy — take
-  // the per-agent loop. The kernel runs its own documented stream schedule
-  // ("kernel/2"), so backends are bit-identical to each other but not to
-  // kLegacy; distribution identity is pinned by cross-validation tests.
+  // g-table, n < 2^32, l <= 128, memory-less protocol), on any graph;
+  // ineligible rounds — and kLegacy — take the per-agent loop. The kernel
+  // runs its own documented stream schedule ("kernel/2", over CSR rows on a
+  // structured graph), so backends are bit-identical to each other but not
+  // to kLegacy; distribution identity is pinned by cross-validation tests.
   kernel::Backend kernel = kernel::Backend::kAuto;
   // Graph the agents PULL over (src/topology). Null means the complete
   // graph — the paper's uniform PULL — and is bit-identical to the
   // pre-topology engine (so is an explicit complete handle). The pointee
-  // must outlive the engine and satisfy topology->size() == n. Structured
-  // graphs take the per-agent legacy loop (step_dispatch() reports why the
-  // bitslice kernel is ineligible); without-replacement sampling requires
-  // ell <= topology->min_degree().
+  // must outlive the engine and satisfy topology->size() == n. Both the
+  // kernel and the per-agent loop sample CSR rows directly;
+  // without-replacement sampling requires ell <= topology->min_degree().
   const Topology* topology = nullptr;
 };
 
@@ -221,8 +221,8 @@ class ShardedAgentEngine {
                                const FaultSession* session = nullptr) const;
 
   // step_backend plus the WHY: `reason` names the first failed eligibility
-  // rule ("structured topology: ...", "fractional g-table: ...", ...) or
-  // reads "eligible" when a bitslice backend engages.
+  // rule ("fractional g-table: ...", "legacy loop requested", ...) or reads
+  // "eligible" when a bitslice backend engages.
   struct KernelDispatch {
     kernel::Backend backend = kernel::Backend::kLegacy;
     const char* reason = "";

@@ -12,28 +12,14 @@ LaneRng::LaneRng(std::uint64_t master) noexcept {
 }
 
 void indices_from_row(LaneRng& lanes, const std::uint64_t row[LaneRng::kLanes],
-                      std::uint32_t n32, std::uint32_t threshold,
+                      const std::uint32_t bound[16],
                       std::uint32_t out[16]) noexcept {
   for (unsigned s = 0; s < 16; ++s) {
     const std::uint64_t x = row[s >> 1];
     const auto x32 = (s & 1) != 0 ? static_cast<std::uint32_t>(x >> 32)
                                   : static_cast<std::uint32_t>(x);
-    std::uint64_t m = static_cast<std::uint64_t>(x32) * n32;
-    auto low = static_cast<std::uint32_t>(m);
-    while (low < threshold) [[unlikely]] {
-      const auto redraw = static_cast<std::uint32_t>(lanes.next(s >> 1));
-      m = static_cast<std::uint64_t>(redraw) * n32;
-      low = static_cast<std::uint32_t>(m);
-    }
-    out[s] = static_cast<std::uint32_t>(m >> 32);
+    out[s] = map_slot(lanes, s >> 1, x32, bound[s]);
   }
-}
-
-void fill_index_row(LaneRng& lanes, std::uint32_t n32, std::uint32_t threshold,
-                    std::uint32_t out[16]) noexcept {
-  std::uint64_t row[LaneRng::kLanes];
-  lanes.fill_row(row);
-  indices_from_row(lanes, row, n32, threshold, out);
 }
 
 }  // namespace bitspread

@@ -101,20 +101,37 @@ inline std::uint32_t lemire32_threshold(std::uint64_t n) noexcept {
   return static_cast<std::uint32_t>(((std::uint64_t{1} << 32) - n) % n);
 }
 
-// Maps one already-drawn row (row[j] = lane j's draw) to 16 indices in
-// [0, n): slot s takes the low (s even) or high (s odd) 32-bit half of lane
-// ⌊s/2⌋'s draw, maps it by Lemire multiply-shift, and rejected slots redraw
-// the low half of fresh single-lane draws (from slot s's own lane, mutating
-// `lanes`) in ascending slot order. SIMD index generators must match this
-// function bit-for-bit.
-void indices_from_row(LaneRng& lanes, const std::uint64_t row[LaneRng::kLanes],
-                      std::uint32_t n32, std::uint32_t threshold,
-                      std::uint32_t out[16]) noexcept;
+// One slot of the canonical index map: the 32-bit half `x32` of a draw from
+// `lane`, mapped to [0, bound) by Lemire multiply-shift. When the low half
+// of the product falls below `bound`, the slot computes
+// lemire32_threshold(bound) and, while the low half is below that, redraws
+// the low half of a fresh draw from `lane` (mutating `lanes`). The check
+// against `bound` first keeps the modulo off all but ~bound/2^32 of slots.
+inline std::uint32_t map_slot(LaneRng& lanes, unsigned lane, std::uint32_t x32,
+                              std::uint32_t bound) noexcept {
+  std::uint64_t m = static_cast<std::uint64_t>(x32) * bound;
+  auto low = static_cast<std::uint32_t>(m);
+  if (low < bound) [[unlikely]] {
+    const std::uint32_t threshold = lemire32_threshold(bound);
+    while (low < threshold) {
+      const auto redraw = static_cast<std::uint32_t>(lanes.next(lane));
+      m = static_cast<std::uint64_t>(redraw) * bound;
+      low = static_cast<std::uint32_t>(m);
+    }
+  }
+  return static_cast<std::uint32_t>(m >> 32);
+}
 
-// Canonical index row of the kernel/2 stream schedule: one draw from every
-// lane, then indices_from_row.
-void fill_index_row(LaneRng& lanes, std::uint32_t n32, std::uint32_t threshold,
-                    std::uint32_t out[16]) noexcept;
+// The canonical index map of the kernel/2 stream schedule. Maps one
+// already-drawn row (row[j] = lane j's draw) to 16 indices, slot s uniform
+// on [0, bound[s]): slot s takes the low (s even) or high (s odd) 32-bit
+// half of lane ⌊s/2⌋'s draw through map_slot, slots in ascending order. On
+// the complete graph every bound is n; on a graph bound[s] is the degree of
+// the slot's agent. SIMD index generators must match this function
+// bit-for-bit.
+void indices_from_row(LaneRng& lanes, const std::uint64_t row[LaneRng::kLanes],
+                      const std::uint32_t bound[16],
+                      std::uint32_t out[16]) noexcept;
 
 }  // namespace bitspread
 

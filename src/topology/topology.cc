@@ -302,6 +302,10 @@ bool Topology::connected() const {
 
 std::uint64_t Topology::identity_digest() const noexcept {
   if (is_complete()) return 0;
+  return digest_.get([this]() noexcept { return hash_csr(); });
+}
+
+std::uint64_t Topology::hash_csr() const noexcept {
   std::uint64_t hash = 0xCBF29CE484222325ull;
   const auto fold = [&hash](std::uint64_t v) noexcept {
     for (int byte = 0; byte < 8; ++byte) {

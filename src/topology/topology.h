@@ -27,15 +27,17 @@
 // Closed-form engines (aggregate, sequential) are exact ONLY under uniform
 // PULL — on a graph the one-count X no longer determines the per-agent
 // adoption law — so they accept a handle but assert it is complete; the
-// per-agent engines (agent, sharded) do the real CSR sampling. The bitslice
-// kernel's index rows are uniform Lemire draws, so kernel eligibility also
-// requires a complete topology (ShardedAgentEngine::step_dispatch reports
-// the reason when it falls back). DESIGN.md §3.10 has the full picture.
+// per-agent engines (agent, sharded) do the real CSR sampling. The sharded
+// engine's bitslice kernel reads the CSR directly: each draw is mapped to
+// [0, deg(v)) and sent through v's row (kernel/2 over rows, DESIGN.md
+// §3.6). DESIGN.md §3.10 has the full picture.
 #ifndef BITSPREAD_TOPOLOGY_TOPOLOGY_H_
 #define BITSPREAD_TOPOLOGY_TOPOLOGY_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -127,7 +129,9 @@ class Topology {
   // FNV-1a over (kind, n, offsets, adjacency); 0 for every complete graph,
   // so a complete handle and a null handle snapshot identically. This is the
   // value the snapshot TOPO section carries and restore() refuses across
-  // (snapshot/state.h).
+  // (snapshot/state.h). The CSR pass runs once, on the first call (never in
+  // a generator), even when several threads make it at once; later calls,
+  // copies and moves return the cached value.
   std::uint64_t identity_digest() const noexcept;
   // Human-readable summary, e.g. "ring(n=4096)" or
   // "random_regular(n=4096, d=8, seed=7)".
@@ -199,6 +203,40 @@ class Topology {
                                                          std::uint32_t>>&
                                  edges);
   void finalize_degrees() noexcept;
+  std::uint64_t hash_csr() const noexcept;
+
+  // identity_digest()'s cache: the first caller computes the value under
+  // the lock while concurrent callers wait on it; a copy carries the value
+  // when it is ready and otherwise computes its own.
+  class DigestCache {
+   public:
+    DigestCache() = default;
+    DigestCache(const DigestCache& other) noexcept { copy_from(other); }
+    DigestCache& operator=(const DigestCache& other) noexcept {
+      if (this != &other) copy_from(other);
+      return *this;
+    }
+    template <typename Compute>
+    std::uint64_t get(Compute&& compute) const noexcept {
+      if (ready_.load(std::memory_order_acquire)) return value_;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!ready_.load(std::memory_order_relaxed)) {
+        value_ = compute();
+        ready_.store(true, std::memory_order_release);
+      }
+      return value_;
+    }
+
+   private:
+    void copy_from(const DigestCache& other) noexcept {
+      const bool ready = other.ready_.load(std::memory_order_acquire);
+      value_ = ready ? other.value_ : 0;
+      ready_.store(ready, std::memory_order_release);
+    }
+    mutable std::mutex mutex_;
+    mutable std::atomic<bool> ready_{false};
+    mutable std::uint64_t value_ = 0;
+  };
 
   GraphKind kind_ = GraphKind::kComplete;
   std::uint64_t n_ = 0;
@@ -208,6 +246,7 @@ class Topology {
   std::vector<std::uint32_t> adjacency_;
   std::uint64_t min_degree_ = 0;
   std::uint64_t max_degree_ = 0;
+  DigestCache digest_;
   // Descriptive parameters (describe() only; identity lives in the CSR).
   std::uint64_t seed_ = 0;
   std::uint64_t param_ = 0;   // degree / side / m

@@ -1,11 +1,14 @@
 // The bitslice step kernel (engine/kernel/): backend resolution and env
-// overrides, the boolean g-circuit classifier, lane-RNG invariants, the
+// overrides, the boolean g-circuit classifier, lane-RNG invariants and the
+// canonical per-slot index map (including its rejection path on CSR rows,
+// which random rows almost never reach), the
 // kernel/2 golden digest matrix (scalar backend), scalar-vs-SIMD digest
 // equality, and kernel-vs-legacy distribution cross-validation — the
 // contract that lets the kernel replace the per-agent loop without a
 // bit-identity tie to the legacy "kernel/1" stream schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iomanip>
 #include <vector>
@@ -19,7 +22,9 @@
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
 #include "protocols/voter.h"
+#include "random/floyd.h"
 #include "random/lanes.h"
+#include "random/rng.h"
 #include "stats/ks.h"
 
 namespace bitspread {
@@ -241,12 +246,15 @@ TEST(KernelLanes, IndexRowsAreInRangeAndUniform) {
   // path runs constantly.
   const std::uint32_t n = 6;
   LaneRng lanes(777);
-  const std::uint32_t threshold = lemire32_threshold(n);
+  std::uint32_t bound[16];
+  std::fill_n(bound, 16, n);
   std::vector<std::uint64_t> counts(n, 0);
   const int kRows = 30000;
   for (int r = 0; r < kRows; ++r) {
+    std::uint64_t row[LaneRng::kLanes];
+    lanes.fill_row(row);
     std::uint32_t idx[16];
-    fill_index_row(lanes, n, threshold, idx);
+    indices_from_row(lanes, row, bound, idx);
     for (const std::uint32_t i : idx) {
       ASSERT_LT(i, n);
       ++counts[i];
@@ -257,6 +265,145 @@ TEST(KernelLanes, IndexRowsAreInRangeAndUniform) {
   const double stat =
       chi_square_statistic(counts, uniform, 16ull * kRows, &dof);
   EXPECT_GT(chi_square_p_value(stat, dof), 1e-4) << "stat=" << stat;
+}
+
+TEST(KernelLanes, PerSlotBoundsRejectThroughTheCanonicalMap) {
+  // A zero half has low product half 0, below every nonzero threshold, so
+  // at a non-power-of-two bound its slot must redraw from its own lane; at a
+  // power of two (threshold 0) the same zero half maps to index 0 at once.
+  // With bounds the size of a degree the path is otherwise unreachable
+  // (P ~ deg / 2^32 per slot), so the row is crafted.
+  std::uint64_t row[LaneRng::kLanes];
+  LaneRng source(31);
+  source.fill_row(row);
+  row[2] &= 0xffffffff00000000ull;  // Slot 4: zero low half.
+  row[5] &= 0x00000000ffffffffull;  // Slot 11: zero high half.
+  row[6] &= 0xffffffff00000000ull;  // Slot 12: zero low half.
+  std::uint32_t bound[16];
+  for (unsigned s = 0; s < 16; ++s) bound[s] = 7 + 2 * s;
+  bound[4] = 6;     // Threshold (2^32 - 6) % 6 = 4.
+  bound[11] = 1000;  // Threshold 296.
+  bound[12] = 8;    // Power of two: threshold 0, no redraw.
+
+  LaneRng lanes(77);
+  LaneRng replay(77);
+  std::uint32_t out[16];
+  indices_from_row(lanes, row, bound, out);
+
+  // The rule, written out independently: Lemire index of the slot's half;
+  // while the low product half is below (2^32 - b) % b, redraw the low half
+  // of the slot's own lane, slots in ascending order.
+  for (unsigned s = 0; s < 16; ++s) {
+    const std::uint64_t b = bound[s];
+    const std::uint64_t threshold = ((std::uint64_t{1} << 32) - b) % b;
+    std::uint64_t x = (s & 1) != 0 ? row[s >> 1] >> 32
+                                   : row[s >> 1] & 0xffffffffull;
+    int redraws = 0;
+    while (((x * b) & 0xffffffffull) < threshold) {
+      x = replay.next(s >> 1) & 0xffffffffull;
+      ++redraws;
+    }
+    EXPECT_EQ(out[s], static_cast<std::uint32_t>((x * b) >> 32)) << s;
+    EXPECT_LT(out[s], b) << s;
+    if (s == 4 || s == 11) {
+      EXPECT_GE(redraws, 1) << s;
+    }
+    if (s == 12) {
+      EXPECT_EQ(redraws, 0);
+    }
+  }
+  EXPECT_EQ(out[12], 0u);
+  for (unsigned lane = 0; lane < LaneRng::kLanes; ++lane) {
+    EXPECT_EQ(lanes.next(lane), replay.next(lane)) << "lane " << lane;
+  }
+}
+
+TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
+  // The SIMD backends' cold path on CSR rows: a hand-built CSR of 100
+  // agents (a full word and a tail word) with degree 4093 each, l = 128.
+  // A lane seed whose schedule rejects at least one slot is found by
+  // replaying the canonical map, then every backend's block must match the
+  // scalar block bit for bit.
+  constexpr std::uint64_t kN = 100;
+  constexpr std::uint32_t kDegree = 4093;  // Threshold 2304: rejections.
+  constexpr std::uint32_t kEll = 128;
+  std::vector<std::uint64_t> offsets(kN + 1);
+  std::vector<std::uint32_t> adjacency(kN * kDegree);
+  for (std::uint64_t v = 0; v <= kN; ++v) offsets[v] = v * kDegree;
+  Rng fill(3);
+  for (std::uint32_t& a : adjacency) {
+    a = static_cast<std::uint32_t>(fill.next_below(kN));
+  }
+  const std::vector<std::uint64_t> plane = {fill(), fill() & 0xfffffffffull};
+
+  // Replays one block's with-replacement lane schedule (kEll x 4 rows per
+  // word; the tail word's padding slots have bound 1) and counts rejected
+  // slots.
+  const auto rejections = [&](std::uint64_t seed) {
+    LaneRng lanes(seed);
+    int rejected = 0;
+    for (std::uint64_t word = 0; word < 2; ++word) {
+      for (std::uint32_t j = 0; j < kEll; ++j) {
+        for (unsigned q = 0; q < 4; ++q) {
+          std::uint64_t row[LaneRng::kLanes];
+          lanes.fill_row(row);
+          std::uint32_t bound[16];
+          for (unsigned s = 0; s < 16; ++s) {
+            bound[s] = word * 64 + 16 * q + s < kN ? kDegree : 1;
+            const std::uint64_t half = (s & 1) != 0
+                                           ? row[s >> 1] >> 32
+                                           : row[s >> 1] & 0xffffffffull;
+            if (((half * bound[s]) & 0xffffffffull) <
+                lemire32_threshold(bound[s])) {
+              ++rejected;
+            }
+          }
+          std::uint32_t out[16];
+          indices_from_row(lanes, row, bound, out);
+        }
+      }
+    }
+    return rejected;
+  };
+  std::uint64_t seed = 1;
+  while (rejections(seed) == 0) ++seed;
+
+  std::vector<double> gtable(2 * (kEll + 1));
+  for (std::uint32_t k = 0; k <= kEll; ++k) {
+    gtable[k] = gtable[kEll + 1 + k] = (k & 1) != 0 ? 1.0 : 0.0;
+  }
+  kernel::CircuitTable table;
+  ASSERT_TRUE(table.classify(gtable.data(), kEll));
+  FloydSampler sampler;
+  const auto run_block = [&](Backend backend, std::uint64_t& ones) {
+    std::vector<std::uint64_t> next(2, 0);
+    kernel::BlockArgs args;
+    args.current = plane.data();
+    args.next = next.data();
+    args.n = kN;
+    args.sources = 1;
+    args.ell = kEll;
+    args.index_threshold = lemire32_threshold(kN);
+    args.first_word = 0;
+    args.word_count = 2;
+    args.lane_seed = seed;
+    args.offsets = offsets.data();
+    args.adjacency = adjacency.data();
+    args.table = &table;
+    args.sampler = &sampler;
+    args.out_ones = &ones;
+    kernel::block_fn(backend)(args);
+    return next;
+  };
+  std::uint64_t scalar_ones = 0;
+  const std::vector<std::uint64_t> scalar =
+      run_block(Backend::kScalarWord, scalar_ones);
+  for (const Backend backend : kernel::available_backends()) {
+    std::uint64_t ones = 0;
+    EXPECT_EQ(run_block(backend, ones), scalar)
+        << kernel::backend_name(backend) << " seed " << seed;
+    EXPECT_EQ(ones, scalar_ones) << kernel::backend_name(backend);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +547,13 @@ TEST(KernelGolden, StepBackendReportsDispatchDecision) {
   EXPECT_NE(eligible.step_backend(pop_a), Backend::kLegacy);
   EXPECT_EQ(fractional.step_backend(pop_b), Backend::kLegacy);
   EXPECT_EQ(pinned_legacy.step_backend(pop_c), Backend::kLegacy);
+  // The reasons are stable strings (NOTATION.md): a deliberate legacy pin
+  // says so rather than blaming an unavailable backend.
+  EXPECT_STREQ(eligible.step_dispatch(pop_a).reason, "eligible");
+  EXPECT_STREQ(fractional.step_dispatch(pop_b).reason,
+               "fractional g-table: no boolean circuit form");
+  EXPECT_STREQ(pinned_legacy.step_dispatch(pop_c).reason,
+               "legacy loop requested");
 }
 
 TEST(KernelGolden, FractionalProtocolFallsBackToLegacyDigest) {

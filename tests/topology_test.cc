@@ -1,8 +1,9 @@
 // The Topology subsystem: generator shape laws (ring/torus/d-regular/ER/BA),
 // CSR invariants (sorted simple rows), seeded determinism — including
 // byte-identical CSRs when several threads build the same graph
-// concurrently — identity digests, the partition-cut report, and the
-// sampling seam's edge cases at ell in {degree-1, degree}.
+// concurrently — identity digests (cached once, carried by copies and
+// moves, agreed on by concurrent first callers), the partition-cut report,
+// and the sampling seam's edge cases at ell in {degree-1, degree}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,11 @@
 #include <cstdint>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "random/rng.h"
+#include "sim/parallel.h"
 #include "topology/topology.h"
 
 namespace bitspread {
@@ -215,6 +218,75 @@ TEST(Topology, IdentityDigestSeparatesGraphs) {
   EXPECT_NE(torus.identity_digest(), regular.identity_digest());
   EXPECT_EQ(ring.identity_digest(), Topology::ring(64).identity_digest());
   EXPECT_NE(ring.identity_digest(), Topology::ring(65).identity_digest());
+}
+
+// The identity digest recomputed from the public CSR: FNV-1a over the
+// little-endian bytes of (kind, n, every offset, every adjacency entry),
+// with 0 remapped to 1.
+std::uint64_t reference_digest(const Topology& topo) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  const auto fold = [&hash](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001B3ull;
+    }
+  };
+  fold(static_cast<std::uint64_t>(topo.kind()));
+  fold(topo.size());
+  for (const std::uint64_t o : topo.offsets()) fold(o);
+  for (const std::uint32_t a : topo.adjacency()) fold(a);
+  return hash == 0 ? 1 : hash;
+}
+
+std::vector<Topology> one_of_each_family() {
+  return {Topology::ring(300),
+          Topology::torus(9, 3),
+          Topology::random_regular(300, 5, 41),
+          Topology::erdos_renyi(300, 0.05, 42),
+          Topology::barabasi_albert(300, 3, 43)};
+}
+
+TEST(Topology, IdentityDigestIsCachedAndCarriedByCopiesAndMoves) {
+  for (const Topology& topo : one_of_each_family()) {
+    const std::uint64_t expected = reference_digest(topo);
+    const Topology unhashed_copy = topo;  // Copied before the first call.
+    EXPECT_EQ(topo.identity_digest(), expected) << topo.describe();
+    EXPECT_EQ(topo.identity_digest(), expected) << "second call";
+    const Topology hashed_copy = topo;
+    EXPECT_EQ(hashed_copy.identity_digest(), expected);
+    EXPECT_EQ(unhashed_copy.identity_digest(), expected);
+    Topology moved = Topology(topo);
+    EXPECT_EQ(moved.identity_digest(), expected);
+    Topology assigned = Topology::ring(5);
+    EXPECT_NE(assigned.identity_digest(), expected);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.identity_digest(), expected);
+  }
+  EXPECT_EQ(Topology::complete(300).identity_digest(), 0u);
+}
+
+TEST(Topology, ConcurrentFirstDigestCallsAgree) {
+  // Every worker makes the first identity_digest() call on the same fresh
+  // graphs at once: one computes, the rest wait, all read the same value.
+  const std::vector<Topology> graphs = one_of_each_family();
+  constexpr int kWorkers = 8;
+  std::vector<std::uint64_t> seen(kWorkers * graphs.size(), 0);
+  WorkerPool::shared().run(
+      kWorkers,
+      [&](int worker) {
+        for (std::size_t g = 0; g < graphs.size(); ++g) {
+          seen[static_cast<std::size_t>(worker) * graphs.size() + g] =
+              graphs[g].identity_digest();
+        }
+      },
+      kWorkers);
+  for (int worker = 0; worker < kWorkers; ++worker) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(worker) * graphs.size() + g],
+                reference_digest(graphs[g]))
+          << "worker " << worker << " graph " << g;
+    }
+  }
 }
 
 TEST(Topology, DescribeNamesKindAndParameters) {

@@ -27,9 +27,11 @@ call the Floyd sampler directly. Those two tokens are scoped to src/engine/
 only -- topology.h itself, the Markov/analysis layers, and benches' dual
 walkers legitimately draw uniforms:
 
-    src/engine/kernel/      -- both tokens: the bitslice kernel is complete-
-                               graph-only by its eligibility rule, and its
-                               per-lane draws go through the Floyd sampler
+    src/engine/kernel/      -- both tokens: the bitslice kernel maps lane
+                               draws through its own row maps (uniform on
+                               the complete graph, CSR rows on a graph),
+                               and its per-lane draws go through the Floyd
+                               sampler
 
 Since the sink-bundle refactor, run observation has one process-wide slot:
 the telemetry::Sinks bundle behind SinkScope. A new global atomic pointer
