@@ -124,10 +124,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sub-phase markers exist when the probes are compiled in AND the backend
-  // actually ran the word-parallel kernel (the legacy loop has none).
+  // Sub-phase markers exist where the backend ran the word-parallel kernel
+  // (the legacy loop has none).
   const auto has_markers = [](const BackendProfile& p) {
-    return telemetry::kCompiledIn && p.backend != kernel::Backend::kLegacy;
+    return p.backend != kernel::Backend::kLegacy;
   };
 
   JsonReporter reporter("profile");
@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
     pmu_info.set("unavailable_reason", JsonValue(counters.unavailable_reason()));
   }
   pmu_info.set("counters_open", JsonValue(counters.counters_open()));
-  pmu_info.set("subphase_markers", JsonValue(telemetry::kCompiledIn));
   pmu_info.set("sampling_active", JsonValue(flight_recorder.sampling_active()));
   pmu_info.set("exporter_active", JsonValue(flight_recorder.exporter_active()));
   reporter.set_extra("pmu", std::move(pmu_info));
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
     if (p.total.multiplexed) total.set("multiplexed", JsonValue(true));
     row.set("run_total", std::move(total));
 
-    // The gather/fault/decide/commit split (telemetry builds, kernel rows).
+    // The gather/fault/decide/commit split (kernel rows).
     if (has_markers(p)) {
       double kernel_wall = 0.0;
       for (const telemetry::Phase phase : kSubPhases) {
@@ -244,8 +243,7 @@ int main(int argc, char** argv) {
 
   std::cout << "bench_profile (n=" << n << ", l=" << ell
             << ", rounds=" << rounds << ", pmu="
-            << (pmu_available ? "available" : "fallback") << ", markers="
-            << (telemetry::kCompiledIn ? "on" : "off") << ")\n";
+            << (pmu_available ? "available" : "fallback") << ")\n";
   for (const BackendProfile& p : profiles) {
     std::printf("  %-12s %8.3f M agent-steps/s\n",
                 kernel::backend_name(p.backend),

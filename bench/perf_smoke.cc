@@ -217,7 +217,6 @@ int main(int argc, char** argv) {
   // set-comparable metrics).
   const profile::PmuCounterSet& counters = profile::thread_counters();
   const bool pmu_available = counters.available();
-  const bool subphase_markers = telemetry::kCompiledIn;
   JsonValue benchmarks = JsonValue::array();
   for (const Measurement& m : results) {
     JsonValue row = JsonValue::object();
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
     row.set("seconds", JsonValue(m.seconds));
     row.set("items_per_second", JsonValue(m.items_per_second));
     row.set("pmu_available", JsonValue(pmu_available));
-    row.set("subphase_markers", JsonValue(subphase_markers));
     benchmarks.push_back(std::move(row));
     reporter.add_phase(m.name, m.seconds, rounds);
   }
@@ -239,7 +237,6 @@ int main(int argc, char** argv) {
                  JsonValue(counters.unavailable_reason()));
   }
   pmu_info.set("counters_open", JsonValue(counters.counters_open()));
-  pmu_info.set("subphase_markers", JsonValue(subphase_markers));
   pmu_info.set("sampling_active", JsonValue(flight_recorder.sampling_active()));
   pmu_info.set("exporter_active", JsonValue(flight_recorder.exporter_active()));
   reporter.set_extra("pmu", std::move(pmu_info));
@@ -263,20 +260,18 @@ int main(int argc, char** argv) {
               JsonValue(legacy_rate > 0 ? sharded1 / legacy_rate : 0.0));
   reporter.set_extra("derived", std::move(derived));
   const WorkerPoolTelemetry pool = WorkerPool::shared().telemetry();
-  if (pool.recorded) {
-    JsonValue pool_json = JsonValue::object();
-    pool_json.set("generations", JsonValue(pool.generations));
-    pool_json.set("items", JsonValue(pool.items));
-    pool_json.set("dispatch_seconds",
-                  JsonValue(static_cast<double>(pool.dispatch_ns) * 1e-9));
-    pool_json.set("mean_wake_us",
-                  JsonValue(pool.generations > 0
-                                ? static_cast<double>(pool.wake_ns) * 1e-3 /
-                                      static_cast<double>(pool.generations)
-                                : 0.0));
-    pool_json.set("utilization", JsonValue(pool.utilization()));
-    reporter.set_extra("worker_pool", std::move(pool_json));
-  }
+  JsonValue pool_json = JsonValue::object();
+  pool_json.set("generations", JsonValue(pool.generations));
+  pool_json.set("items", JsonValue(pool.items));
+  pool_json.set("dispatch_seconds",
+                JsonValue(static_cast<double>(pool.dispatch_ns) * 1e-9));
+  pool_json.set("mean_wake_us",
+                JsonValue(pool.generations > 0
+                              ? static_cast<double>(pool.wake_ns) * 1e-3 /
+                                    static_cast<double>(pool.generations)
+                              : 0.0));
+  pool_json.set("utilization", JsonValue(pool.utilization()));
+  reporter.set_extra("worker_pool", std::move(pool_json));
   if (flight_recorder.recorder() != nullptr) {
     reporter.set_flight_recorder(*flight_recorder.recorder());
   }

@@ -22,12 +22,10 @@ struct AggregateStepper {
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t /*tick*/) {
     state = engine.step(state, rng);
-    if constexpr (telemetry::kCompiledIn) {
-      // The aggregate reduction draws (n - z) * l conceptual observation
-      // bits per round through two exact binomials.
-      samples += (state.n - state.sources) *
-                 engine.protocol().sample_size(state.n);
-    }
+    // The aggregate reduction draws (n - z) * l conceptual observation
+    // bits per round through two exact binomials.
+    samples += (state.n - state.sources) *
+               engine.protocol().sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 
@@ -66,9 +64,7 @@ struct AggregateFaultyStepper {
         binomial(rng, session.free_zeros(state), p0);
     state.ones =
         state.source_ones() + session.zealot_ones() + next_free_ones;
-    if constexpr (telemetry::kCompiledIn) {
-      samples += session.free_agents() * ell;
-    }
+    samples += session.free_agents() * ell;
   }
   void end_round(std::uint64_t /*round*/) {
     state = session.churn(state, rng);

@@ -36,10 +36,8 @@ struct AlphaStepper {
     state.ones = state.source_ones() + stay_ones +
                  binomial(rng, active_ones, p1) +
                  binomial(rng, active_zeros, p0);
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (active_ones + active_zeros) *
-                 protocol.sample_size(state.n);
-    }
+    samples += (active_ones + active_zeros) *
+               protocol.sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 };
@@ -70,9 +68,7 @@ struct AlphaFaultyStepper {
     state.ones = state.source_ones() + session.zealot_ones() + stay_ones +
                  binomial(rng, active_ones, p1) +
                  binomial(rng, active_zeros, p0);
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (active_ones + active_zeros) * ell;
-    }
+    samples += (active_ones + active_zeros) * ell;
   }
   void end_round(std::uint64_t /*round*/) {
     state = session.churn(state, rng);

@@ -175,10 +175,7 @@ class RunDriver {
     RunResult result;
     result.unit = policy_.unit;
     result.alpha = policy_.alpha;
-    std::uint64_t start_ns = 0;
-    if constexpr (telemetry::kCompiledIn) {
-      start_ns = telemetry::clock_now_ns();
-    }
+    const std::uint64_t start_ns = telemetry::clock_now_ns();
     const std::uint64_t tpr =
         policy_.ticks_per_round == 0 ? 1 : policy_.ticks_per_round;
     const std::uint64_t max_ticks = rule.max_rounds * tpr;
@@ -333,24 +330,21 @@ class RunDriver {
     result.ticks = tick * policy_.units_per_tick;
     result.final_config = config;
     if (session != nullptr) result.recoveries = session->take_recoveries();
-    if constexpr (telemetry::kCompiledIn) {
-      result.telemetry.recorded = true;
-      result.telemetry.wall_seconds =
-          static_cast<double>(telemetry::clock_now_ns() - start_ns) * 1e-9;
-      result.telemetry.rounds = tick / tpr;
-      if constexpr (requires { stepper.samples_drawn(); }) {
-        result.telemetry.samples_drawn = stepper.samples_drawn();
+    result.telemetry.wall_seconds =
+        static_cast<double>(telemetry::clock_now_ns() - start_ns) * 1e-9;
+    result.telemetry.rounds = tick / tpr;
+    if constexpr (requires { stepper.samples_drawn(); }) {
+      result.telemetry.samples_drawn = stepper.samples_drawn();
+    }
+    if (session != nullptr) {
+      result.telemetry.fault_flips = session->flips_applied();
+      result.telemetry.fault_zealots = session->zealots();
+      if constexpr (requires { stepper.churned(); }) {
+        result.telemetry.fault_churned = stepper.churned();
+      } else {
+        result.telemetry.fault_churned = session->churned();
       }
-      if (session != nullptr) {
-        result.telemetry.fault_flips = session->flips_applied();
-        result.telemetry.fault_zealots = session->zealots();
-        if constexpr (requires { stepper.churned(); }) {
-          result.telemetry.fault_churned = stepper.churned();
-        } else {
-          result.telemetry.fault_churned = session->churned();
-        }
-        fold_recovery_telemetry(result.telemetry, result.recoveries);
-      }
+      fold_recovery_telemetry(result.telemetry, result.recoveries);
     }
     return result;
   }

@@ -22,7 +22,7 @@ struct SequentialStepper {
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t /*tick*/) {
     state = engine.step(state, rng);
-    if constexpr (telemetry::kCompiledIn) samples += ell;
+    samples += ell;
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 
@@ -69,7 +69,7 @@ struct SequentialFaultyStepper {
     const Opinion next =
         rng.bernoulli(adopt_one) ? Opinion::kOne : Opinion::kZero;
     if (own != next) state.ones += next == Opinion::kOne ? 1 : -1;
-    if constexpr (telemetry::kCompiledIn) samples += ell;
+    samples += ell;
   }
   void end_round(std::uint64_t /*round*/) {
     state = session.churn(state, rng);

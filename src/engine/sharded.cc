@@ -115,9 +115,7 @@ struct ShardedStepper {
   void step(std::uint64_t tick) {
     engine.step(population, tick, seeds);
     state = population.config();
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n - state.sources) * engine.sample_size(state.n);
-    }
+    samples += (state.n - state.sources) * engine.sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 
@@ -165,10 +163,8 @@ struct ShardedFaultyStepper {
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t tick) {
     engine.step(population, tick, seeds, session);
-    if constexpr (telemetry::kCompiledIn) {
-      churn_events += population.last_step_churned();
-      samples += session.free_agents() * engine.sample_size(state.n);
-    }
+    churn_events += population.last_step_churned();
+    samples += session.free_agents() * engine.sample_size(state.n);
     state = population.config();
   }
   void sync_flip() {
@@ -438,7 +434,7 @@ void ShardedAgentEngine::process_block_faulty(Population& population,
           if (protocol_ != nullptr) {
             population.states_[i] = protocol_->initial_view(wrong).state;
           }
-          if constexpr (telemetry::kCompiledIn) ++block_churned;
+          ++block_churned;
         }
       }
       out |= value << bit;
@@ -447,11 +443,7 @@ void ShardedAgentEngine::process_block_faulty(Population& population,
     block_ones += static_cast<std::uint64_t>(std::popcount(out));
   }
   population.block_ones_[block] = block_ones;
-  if constexpr (telemetry::kCompiledIn) {
-    population.block_churned_[block] = block_churned;
-  } else {
-    (void)block_churned;
-  }
+  population.block_churned_[block] = block_churned;
 }
 
 void ShardedAgentEngine::build_gtable(Population& population,
@@ -568,15 +560,26 @@ void ShardedAgentEngine::process_block_kernel(
   args.sampler = &sampler;
   args.index_scratch = index_scratch;
   args.out_ones = &population.block_ones_[block];
-  args.out_churned = nullptr;
-  if constexpr (telemetry::kCompiledIn) {
-    if (plan.faulty) args.out_churned = &population.block_churned_[block];
-  }
+  args.out_churned =
+      plan.faulty ? &population.block_churned_[block] : nullptr;
   plan.fn(args);
 }
 
 void ShardedAgentEngine::step(Population& population, std::uint64_t round,
                               const SeedSequence& seeds) const {
+  step_round(population, round, seeds, nullptr);
+}
+
+void ShardedAgentEngine::step(Population& population, std::uint64_t round,
+                              const SeedSequence& seeds,
+                              const FaultSession& session) const {
+  step_round(population, round, seeds, &session);
+}
+
+void ShardedAgentEngine::step_round(Population& population,
+                                    std::uint64_t round,
+                                    const SeedSequence& seeds,
+                                    const FaultSession* session) const {
   const std::uint64_t n = population.n_;
   const std::uint32_t ell = sample_size(n);
   const std::uint64_t words = population.current_.size();
@@ -584,8 +587,26 @@ void ShardedAgentEngine::step(Population& population, std::uint64_t round,
 
   build_gtable(population, ell);
   KernelRound plan;
-  const bool use_kernel = prepare_kernel(population, ell, nullptr, plan);
+  const bool use_kernel = prepare_kernel(population, ell, session, plan);
+  if (session != nullptr && memoryless_ != nullptr && !use_kernel) {
+    // Legacy fallback tabulates the faulty adoption probability: the
+    // spontaneous channel folds straight into the table,
+    // (1 - eta) g + eta * bias, so the hot loop still costs one lookup +
+    // one draw. Observation noise does NOT fold here — it is applied
+    // operationally, bit by bit, in the probes. (The kernel realizes the
+    // same fold operationally through its select masks, so it keeps the
+    // base table.)
+    const EnvironmentModel& model = session->model();
+    const double eta = model.spontaneous_rate;
+    for (std::uint32_t own = 0; own < 2; ++own) {
+      for (std::uint32_t k = 0; k <= ell; ++k) {
+        double& g = population.gtable_[own * (ell + 1) + k];
+        g = (1.0 - eta) * g + eta * model.spontaneous_bias;
+      }
+    }
+  }
   population.block_ones_.resize(blocks);
+  if (session != nullptr) population.block_churned_.resize(blocks);
 
   std::uint64_t chunks =
       options_.shards == 0 ? blocks
@@ -602,15 +623,17 @@ void ShardedAgentEngine::step(Population& population, std::uint64_t round,
     const ShardedAgentEngine* engine;
     Population* population;
     const SeedSequence* seeds;
-    const KernelRound* kernel;  // Null: the per-agent legacy loop runs.
+    const FaultSession* session;  // Null: a fault-free round.
+    const KernelRound* kernel;    // Null: the per-agent legacy loop runs.
     std::uint64_t round;
     std::uint64_t blocks;
     std::uint64_t chunks;
     std::uint32_t ell;
   };
-  RoundContext context{this,   &population, &seeds, use_kernel ? &plan
-                                                               : nullptr,
-                       round,  blocks,      chunks, ell};
+  RoundContext context{this,    &population, &seeds,
+                       session, use_kernel ? &plan : nullptr,
+                       round,   blocks,      chunks,
+                       ell};
   // One capture pointer keeps the closure inside std::function's inline
   // storage: steady-state rounds allocate nothing.
   const std::function<void(int)> chunk_fn = [&context](int chunk) {
@@ -619,6 +642,7 @@ void ShardedAgentEngine::step(Population& population, std::uint64_t round,
     const std::uint64_t end =
         context.blocks * (static_cast<std::uint64_t>(chunk) + 1) /
         context.chunks;
+    const bool faulty = context.session != nullptr;
     FloydSampler& sampler =
         context.population->samplers_[static_cast<std::size_t>(chunk)];
     if (context.kernel != nullptr) {
@@ -627,116 +651,26 @@ void ShardedAgentEngine::step(Population& population, std::uint64_t round,
               ? nullptr
               : context.population->kernel_index_.data() +
                     static_cast<std::size_t>(chunk) * context.ell * 64;
+      const std::uint64_t phase = faulty ? kKernelFaultPhase : kKernelPhase;
       for (std::uint64_t block = begin; block < end; ++block) {
         context.engine->process_block_kernel(
             *context.population, block, context.ell, *context.kernel,
-            context.seeds->derive(context.round, block, kKernelPhase),
-            sampler, index_scratch);
+            context.seeds->derive(context.round, block, phase), sampler,
+            index_scratch);
       }
       return;
     }
+    const std::uint64_t phase = faulty ? kFaultPhase : kStreamPhase;
     for (std::uint64_t block = begin; block < end; ++block) {
-      Rng rng(context.seeds->derive(context.round, block, kStreamPhase));
-      context.engine->process_block(*context.population, block, context.ell,
-                                    rng, sampler);
-    }
-  };
-  WorkerPool::shared().run(static_cast<int>(chunks), chunk_fn,
-                           options_.threads);
-
-  std::swap(population.current_, population.next_);
-  std::uint64_t ones = 0;
-  for (const std::uint64_t block_count : population.block_ones_) {
-    ones += block_count;
-  }
-  population.ones_ = ones;
-}
-
-void ShardedAgentEngine::step(Population& population, std::uint64_t round,
-                              const SeedSequence& seeds,
-                              const FaultSession& session) const {
-  const EnvironmentModel& model = session.model();
-  const std::uint64_t n = population.n_;
-  const std::uint32_t ell = sample_size(n);
-  const std::uint64_t words = population.current_.size();
-  const std::uint64_t blocks = (words + kBlockWords - 1) / kBlockWords;
-
-  build_gtable(population, ell);
-  KernelRound plan;
-  const bool use_kernel = prepare_kernel(population, ell, &session, plan);
-  if (memoryless_ != nullptr && !use_kernel) {
-    // Legacy fallback tabulates the faulty adoption probability: the
-    // spontaneous channel folds straight into the table,
-    // (1 - eta) g + eta * bias, so the hot loop still costs one lookup +
-    // one draw. Observation noise does NOT fold here — it is applied
-    // operationally, bit by bit, in the probes. (The kernel realizes the
-    // same fold operationally through its select masks, so it keeps the
-    // base table.)
-    const double eta = model.spontaneous_rate;
-    for (std::uint32_t own = 0; own < 2; ++own) {
-      for (std::uint32_t k = 0; k <= ell; ++k) {
-        double& g = population.gtable_[own * (ell + 1) + k];
-        g = (1.0 - eta) * g + eta * model.spontaneous_bias;
+      Rng rng(context.seeds->derive(context.round, block, phase));
+      if (faulty) {
+        context.engine->process_block_faulty(*context.population, block,
+                                             context.ell, *context.session,
+                                             rng, sampler);
+      } else {
+        context.engine->process_block(*context.population, block,
+                                      context.ell, rng, sampler);
       }
-    }
-  }
-  population.block_ones_.resize(blocks);
-  if constexpr (telemetry::kCompiledIn) {
-    population.block_churned_.assign(blocks, 0);
-  }
-
-  std::uint64_t chunks =
-      options_.shards == 0 ? blocks
-                           : std::min<std::uint64_t>(options_.shards, blocks);
-  chunks = std::max<std::uint64_t>(chunks, 1);
-  population.samplers_.resize(chunks);
-  const bool distinct = options_.sampling == Sampling::kWithoutReplacement;
-  if (use_kernel && distinct) {
-    population.kernel_index_.resize(chunks * static_cast<std::size_t>(ell) *
-                                    64);
-  }
-
-  struct FaultyRoundContext {
-    const ShardedAgentEngine* engine;
-    Population* population;
-    const SeedSequence* seeds;
-    const FaultSession* session;
-    const KernelRound* kernel;  // Null: the per-agent legacy loop runs.
-    std::uint64_t round;
-    std::uint64_t blocks;
-    std::uint64_t chunks;
-    std::uint32_t ell;
-  };
-  FaultyRoundContext context{this,  &population, &seeds,
-                             &session, use_kernel ? &plan : nullptr,
-                             round, blocks,      chunks, ell};
-  const std::function<void(int)> chunk_fn = [&context](int chunk) {
-    const std::uint64_t begin =
-        context.blocks * static_cast<std::uint64_t>(chunk) / context.chunks;
-    const std::uint64_t end =
-        context.blocks * (static_cast<std::uint64_t>(chunk) + 1) /
-        context.chunks;
-    FloydSampler& sampler =
-        context.population->samplers_[static_cast<std::size_t>(chunk)];
-    if (context.kernel != nullptr) {
-      std::uint32_t* index_scratch =
-          context.population->kernel_index_.empty()
-              ? nullptr
-              : context.population->kernel_index_.data() +
-                    static_cast<std::size_t>(chunk) * context.ell * 64;
-      for (std::uint64_t block = begin; block < end; ++block) {
-        context.engine->process_block_kernel(
-            *context.population, block, context.ell, *context.kernel,
-            context.seeds->derive(context.round, block, kKernelFaultPhase),
-            sampler, index_scratch);
-      }
-      return;
-    }
-    for (std::uint64_t block = begin; block < end; ++block) {
-      Rng rng(context.seeds->derive(context.round, block, kFaultPhase));
-      context.engine->process_block_faulty(*context.population, block,
-                                           context.ell, *context.session, rng,
-                                           sampler);
     }
   };
   WorkerPool::shared().run(static_cast<int>(chunks), chunk_fn,

@@ -99,9 +99,8 @@ struct RunResult {
   // (parallel rounds, or alpha-rounds for the alpha-synchronous engine).
   std::vector<RecoverySegment> recoveries;
 
-  // Measurement-only sidecar (telemetry.recorded is false unless the
-  // library was built with BITSPREAD_TELEMETRY). NOT part of the semantic
-  // payload: byte-identity across builds is asserted on everything above.
+  // Measurement-only sidecar. NOT part of the semantic payload:
+  // byte-identity across runs is asserted on everything above.
   RunTelemetry telemetry;
 
   // Whole native rounds elapsed: ticks for round-driven engines, completed

@@ -117,10 +117,8 @@ struct MultiAggregateStepper {
   void step(std::uint64_t /*tick*/) {
     state = engine.step(state, rng);
     projection.ones = state.counts[state.correct];
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n() - state.sources) *
-                 engine.protocol().sample_size(state.n());
-    }
+    samples += (state.n() - state.sources) *
+               engine.protocol().sample_size(state.n());
   }
   std::optional<StopReason> evaluate(const StopRule& rule) const {
     return evaluate_multi(rule, state, nullptr, 0);
@@ -167,10 +165,8 @@ struct MultiAggregateFaultyStepper {
     }
     state = std::move(next);
     projection.ones = state.counts[state.correct];
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n() - state.sources) *
-                 engine.protocol().sample_size(state.n());
-    }
+    samples += (state.n() - state.sources) *
+               engine.protocol().sample_size(state.n());
   }
   void end_round(std::uint64_t /*round*/) {
     churn_events += churn_counts(state, model.churn_rate, rng);
@@ -196,10 +192,8 @@ struct MultiAgentStepper {
     engine.step(population, rng);
     state = population.config();
     projection.ones = state.counts[state.correct];
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n() - state.sources) *
-                 engine.protocol().sample_size(state.n());
-    }
+    samples += (state.n() - state.sources) *
+               engine.protocol().sample_size(state.n());
   }
   std::optional<StopReason> evaluate(const StopRule& rule) const {
     return evaluate_multi(rule, state, nullptr, 0);
@@ -226,10 +220,8 @@ struct MultiAgentFaultyStepper {
     engine.step_faulty(population, model, rng);
     state = population.config();
     projection.ones = state.counts[state.correct];
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n() - state.sources) *
-                 engine.protocol().sample_size(state.n());
-    }
+    samples += (state.n() - state.sources) *
+               engine.protocol().sample_size(state.n());
   }
   void end_round(std::uint64_t /*round*/) {
     if (model.churn_rate <= 0.0) return;
@@ -314,9 +306,7 @@ MultiRunResult MultiAggregateEngine::run(MultiConfiguration config,
   stepper.target = quorum_target(stepper.state, model);
   RunResult run =
       RunDriver(TimePolicy::parallel()).run(stepper, rule, trajectory);
-  if constexpr (telemetry::kCompiledIn) {
-    run.telemetry.fault_churned = stepper.churn_events;
-  }
+  run.telemetry.fault_churned = stepper.churn_events;
   return to_multi(std::move(run), std::move(stepper.state));
 }
 
@@ -445,9 +435,7 @@ MultiRunResult MultiAgentEngine::run(MultiConfiguration config,
   stepper.target = quorum_target(stepper.state, model);
   RunResult run =
       RunDriver(TimePolicy::parallel()).run(stepper, rule, trajectory);
-  if constexpr (telemetry::kCompiledIn) {
-    run.telemetry.fault_churned = stepper.churn_events;
-  }
+  run.telemetry.fault_churned = stepper.churn_events;
   return to_multi(std::move(run), std::move(stepper.state));
 }
 

@@ -25,10 +25,7 @@
 //    aggregate round and a 100 ms population round both pay ~nothing.
 //
 // The board is the `progress` field of the sink bundle (telemetry::Sinks),
-// installed through a telemetry::SinkScope. Unlike the telemetry sinks it
-// is NOT gated on BITSPREAD_TELEMETRY: progress is how an operator watches
-// a default-build run too, and a dozen relaxed stores per publish window
-// need no compile-time switch.
+// installed through a telemetry::SinkScope.
 #ifndef BITSPREAD_OBS_PROGRESS_H_
 #define BITSPREAD_OBS_PROGRESS_H_
 

@@ -90,7 +90,6 @@ JsonValue progress_json(const MetricsSnapshot& snapshot) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", JsonValue("bitspread-progress/1"));
   doc.set("captured_ns", JsonValue(snapshot.captured_ns));
-  doc.set("telemetry_compiled_in", JsonValue(snapshot.telemetry_compiled_in));
   doc.set("runs_started", JsonValue(snapshot.runs_started));
   doc.set("runs_finished", JsonValue(snapshot.runs_finished));
   JsonValue runs = JsonValue::array();
@@ -257,11 +256,12 @@ void IntrospectionServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
-  // Closing the listen socket unblocks accept(); shutting down every open
-  // connection unblocks in-flight reads/sends and stream waits.
+  // Shutting the listen socket down unblocks accept(); shutting down every
+  // open connection unblocks in-flight reads/sends and stream waits. The
+  // listen fd is closed only once the accept thread has exited: it reads
+  // listen_fd_, and a number closed under it could be reused before its
+  // next accept().
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   if (options_.hub != nullptr) options_.hub->close_all();
   {
     std::lock_guard<std::mutex> lock(handlers_mutex_);
@@ -271,6 +271,8 @@ void IntrospectionServer::stop() {
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   std::vector<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mutex_);
@@ -299,7 +301,7 @@ void IntrospectionServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // Listen socket closed by stop().
+      break;  // Listen socket shut down by stop().
     }
     reap_finished_handlers();
     set_timeout(fd, SO_RCVTIMEO, 2);
@@ -384,7 +386,6 @@ void IntrospectionServer::handle_connection(int fd) {
                                           start_ns_) *
                       1e-9));
     doc.set("scrapes", JsonValue(scrapes_.load(std::memory_order_relaxed)));
-    doc.set("telemetry_compiled_in", JsonValue(telemetry::kCompiledIn));
     doc.set("stream_available", JsonValue(options_.hub != nullptr));
     doc.set("runs_active", JsonValue(active));
     doc.set("runs_started", JsonValue(snapshot.runs_started));

@@ -14,9 +14,7 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
   snap.captured_ns = telemetry::clock_now_ns();
   snap.registry = registry.snapshot();
 
-  // Phase rows exist only where probes can feed them.
-  if (const telemetry::PhaseStats* phases =
-          telemetry::kCompiledIn ? bundle.phases : nullptr) {
+  if (const telemetry::PhaseStats* phases = bundle.phases) {
     snap.phases_present = true;
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
       const auto phase = static_cast<telemetry::Phase>(i);

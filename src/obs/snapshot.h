@@ -56,7 +56,6 @@ struct MetricsSnapshot {
   std::uint64_t runs_started = 0;
   std::uint64_t runs_finished = 0;
 
-  bool telemetry_compiled_in = telemetry::kCompiledIn;
   std::uint64_t captured_ns = 0;  // Steady-clock ns at capture.
 };
 

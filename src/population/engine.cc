@@ -4,7 +4,6 @@
 
 #include "engine/run_loop.h"
 #include "faults/session.h"
-#include "telemetry/telemetry.h"
 
 namespace bitspread {
 namespace {
@@ -24,11 +23,9 @@ struct PopulationStepper {
     const std::uint64_t n = population.states.size();
     for (std::uint64_t i = 0; i < n; ++i) engine.interact(population, rng);
     state.ones = population.count_ones(engine.protocol());
-    if constexpr (telemetry::kCompiledIn) {
-      // Each interaction reveals both partners' full states: two
-      // observations per interaction is the passive-sampling equivalent.
-      samples += 2 * n;
-    }
+    // Each interaction reveals both partners' full states: two
+    // observations per interaction is the passive-sampling equivalent.
+    samples += 2 * n;
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 };
@@ -52,7 +49,7 @@ struct PopulationFaultyStepper {
       engine.interact_faulty(population, session, rng);
     }
     state.ones = population.count_ones(engine.protocol());
-    if constexpr (telemetry::kCompiledIn) samples += 2 * n;
+    samples += 2 * n;
   }
   void sync_flip() {
     population.correct = state.correct;

@@ -5,6 +5,22 @@
 namespace bitspread {
 namespace profile {
 
+void KernelBlockProfiler::mark(bool opening, telemetry::Phase next) noexcept {
+  CounterSnapshot now;
+  telemetry::take_reading(bundle_, now);
+  if (open_) {
+    if (bundle_.phases != nullptr) {
+      bundle_.phases->add(current_, now.wall_ns - last_.wall_ns);
+    }
+    if (bundle_.pmu != nullptr) {
+      bundle_.pmu->add(current_, thread_counters().delta(last_, now));
+    }
+  }
+  open_ = opening;
+  current_ = next;
+  last_ = now;
+}
+
 JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
                             const char* unavailable_reason) {
   JsonValue root = JsonValue::object();

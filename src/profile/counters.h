@@ -10,16 +10,10 @@
 // every driver, sampling and pool-dispatch site; KernelBlockProfiler feeds
 // the kernel sub-phases.
 //
-// The probes obey the two-gate discipline of telemetry/telemetry.h:
-//
-//  1. *Compile time.* Probe / KernelBlockProfiler are empty objects
-//     without -DBITSPREAD_TELEMETRY; the default build's hot paths are
-//     untouched.
-//  2. *Run time.* Compiled-in probes are dormant until the installed
-//     bundle holds a sink: an unsinked probe costs one pointer load and
-//     never issues a read(2). The CI overhead gate
-//     (tools/check_telemetry_overhead.py) holds the enabled-but-unsinked
-//     build within the same <5% budget as the wall-clock probes.
+// The probes are dormant until the installed bundle holds a sink
+// (telemetry/telemetry.h): an unsinked probe costs one pointer load and
+// never issues a read(2). bench/e2e measures that sinkless cost on every
+// change.
 //
 // Attribution is per-thread by construction: every probe reads the calling
 // thread's counter set (profile::thread_counters()), so kernel blocks
@@ -131,15 +125,14 @@ class PmuPhaseStats {
 JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
                             const char* unavailable_reason);
 
-#ifdef BITSPREAD_TELEMETRY
-
 // Sub-phase marker for the kernel hot loop. The bundle is resolved ONCE
 // per block (the word loop calls enter() several times per 64-agent word,
 // so per-call loads would be the dominant cost); when it holds neither a
 // phase nor a PMU sink every call is a predicted no-op branch. Each mark
 // takes one telemetry::take_reading, which closes the open sub-phase and
 // opens the next. Wall-clock nanoseconds also feed the phase sink, so
-// `phases` rows carry the sub-phase split even on no-PMU hosts.
+// `phases` rows carry the sub-phase split even on no-PMU hosts. The mark
+// itself is out of line: each kernel instantiation inlines only the branch.
 class KernelBlockProfiler {
  public:
   KernelBlockProfiler() noexcept
@@ -160,21 +153,7 @@ class KernelBlockProfiler {
   }
 
  private:
-  void mark(bool opening, telemetry::Phase next) noexcept {
-    CounterSnapshot now;
-    telemetry::take_reading(bundle_, now);
-    if (open_) {
-      if (bundle_.phases != nullptr) {
-        bundle_.phases->add(current_, now.wall_ns - last_.wall_ns);
-      }
-      if (bundle_.pmu != nullptr) {
-        bundle_.pmu->add(current_, thread_counters().delta(last_, now));
-      }
-    }
-    open_ = opening;
-    current_ = next;
-    last_ = now;
-  }
+  void mark(bool opening, telemetry::Phase next) noexcept;
 
   const telemetry::Sinks& bundle_;
   const bool active_;  // Some sink to feed; the per-word fast-path test.
@@ -182,17 +161,6 @@ class KernelBlockProfiler {
   telemetry::Phase current_ = telemetry::Phase::kCount;
   CounterSnapshot last_;
 };
-
-#else  // !BITSPREAD_TELEMETRY
-
-class KernelBlockProfiler {
- public:
-  KernelBlockProfiler() noexcept = default;
-  void enter(telemetry::Phase /*phase*/) noexcept {}
-  void leave() noexcept {}
-};
-
-#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace profile
 }  // namespace bitspread

@@ -176,11 +176,6 @@ void report_artifact(bool ok, const char* what, const std::string& path,
   }
 }
 
-void telemetry_note(const char* flags) {
-  std::cerr << "note: " << flags << " has no effect (build with "
-            << "-DBITSPREAD_TELEMETRY=ON)\n";
-}
-
 }  // namespace
 
 FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
@@ -215,15 +210,12 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       options_.listen || checkpointer_ != nullptr) {
     snapshot::install_interrupt_handlers();
   }
-  // Introspection server (--listen=; any build). The board joins the bundle
-  // before any run starts so every RunDriver claims a progress slot; the
-  // hub exists only in telemetry builds (record_round is compiled out
-  // otherwise, so /stream correctly reports 503 there).
+  // Introspection server (--listen=). The board joins the bundle before any
+  // run starts so every RunDriver claims a progress slot; the hub tees the
+  // round stream to /stream subscribers.
   if (options_.listen) {
     progress_board_ = std::make_unique<obs::ProgressBoard>();
-    if (telemetry::kCompiledIn) {
-      stream_hub_ = std::make_unique<obs::StreamHub>();
-    }
+    stream_hub_ = std::make_unique<obs::StreamHub>();
     obs::ServerOptions server_options;
     server_options.listen = *options_.listen;
     server_options.hub = stream_hub_.get();
@@ -236,64 +228,54 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     }
     bundle.progress = progress_board_.get();
   }
-  if (options_.trace && telemetry::kCompiledIn) {
+  if (options_.trace) {
     // A bench that installed its own phase sink keeps it; the table then
     // prints that sink.
     phase_table_ = telemetry::sinks().phases;
     if (phase_table_ == nullptr) phase_table_ = bundle.phases = &phase_stats_;
-  } else if (options_.trace) {
-    telemetry_note("--trace");
   }
-  if (options_.pmu_out && telemetry::kCompiledIn) {
+  if (options_.pmu_out) {
     // Touching the main thread's counter set here (not in the destructor)
     // surfaces a perf_event_open failure before the run, not after it.
     profile::thread_counters();
     bundle.pmu = &pmu_stats_;
-  } else if (options_.pmu_out) {
-    telemetry_note("--pmu-out");
   }
-  if (options_.requested() && !telemetry::kCompiledIn) {
-    telemetry_note("--trace-out/--stream-out");
-  } else if (options_.requested() || stream_hub_ != nullptr) {
-    if (options_.trace_out) {
-      telemetry::TraceRecorder::Options trace_options;
-      trace_options.capacity = options_.trace_buffer;
-      recorder_ = std::make_unique<telemetry::TraceRecorder>(trace_options);
-      bundle.trace = recorder_.get();
+  if (options_.trace_out) {
+    telemetry::TraceRecorder::Options trace_options;
+    trace_options.capacity = options_.trace_buffer;
+    recorder_ = std::make_unique<telemetry::TraceRecorder>(trace_options);
+    bundle.trace = recorder_.get();
+  }
+  if (options_.stream_out) {
+    telemetry::RoundStream::Options stream_options;
+    stream_options.stride = options_.stream_stride;
+    // A resumed run appends to the stream of the interrupted one, with the
+    // counters seeded from the snapshot so accounting spans both segments.
+    const snapshot::RunSnapshot* resume_snap =
+        checkpointer_ != nullptr ? checkpointer_->pending_resume() : nullptr;
+    stream_options.append = resume_snap != nullptr;
+    stream_ = std::make_unique<telemetry::RoundStream>(*options_.stream_out,
+                                                       stream_options);
+    if (!stream_->ok()) {
+      std::cerr << "[failed to open stream " << *options_.stream_out << "]\n";
+      stream_.reset();
+    } else if (resume_snap != nullptr) {
+      stream_->restore_counts(resume_snap->stream_rounds_seen,
+                              resume_snap->stream_lines);
     }
-    if (options_.stream_out) {
-      telemetry::RoundStream::Options stream_options;
-      stream_options.stride = options_.stream_stride;
-      // A resumed run appends to the stream of the interrupted one, with the
-      // counters seeded from the snapshot so accounting spans both segments.
-      const snapshot::RunSnapshot* resume_snap =
-          checkpointer_ != nullptr ? checkpointer_->pending_resume() : nullptr;
-      stream_options.append = resume_snap != nullptr;
-      stream_ = std::make_unique<telemetry::RoundStream>(*options_.stream_out,
-                                                         stream_options);
-      if (!stream_->ok()) {
-        std::cerr << "[failed to open stream " << *options_.stream_out
-                  << "]\n";
-        stream_.reset();
-      } else if (resume_snap != nullptr) {
-        stream_->restore_counts(resume_snap->stream_rounds_seen,
-                                resume_snap->stream_lines);
-      }
-    }
-    // One round sink: the hub (teeing to the file stream AND /stream
-    // subscribers) when the server is up, the file stream alone otherwise.
-    if (stream_hub_ != nullptr) {
-      stream_hub_->set_inner(stream_.get());
-      bundle.rounds = stream_hub_.get();
-    } else {
-      bundle.rounds = stream_.get();
-    }
+  }
+  // One round sink: the hub (teeing to the file stream AND /stream
+  // subscribers) when the server is up, the file stream alone otherwise.
+  if (stream_hub_ != nullptr) {
+    stream_hub_->set_inner(stream_.get());
+    bundle.rounds = stream_hub_.get();
+  } else {
+    bundle.rounds = stream_.get();
   }
   sinks_.emplace(bundle);
   if (options_.profile_out) {
-    // Sampling needs no telemetry build and no PMU — SIGPROF + frame
-    // pointers only. Started last so profiler samples cover the run, not
-    // this scope's setup.
+    // Sampling needs no PMU — SIGPROF + frame pointers only. Started last
+    // so profiler samples cover the run, not this scope's setup.
     profiler_ = std::make_unique<profile::SamplingProfiler>();
     if (!profiler_->start(options_.profile_hz)) {
       std::cerr << "note: sampling profiler not started: " << profiler_->why()
@@ -328,7 +310,7 @@ FlightRecorderScope::~FlightRecorderScope() {
   }
   // Every sink leaves the bundle at once; the outputs are written after.
   sinks_.reset();
-  if (options_.pmu_out && telemetry::kCompiledIn) {
+  if (options_.pmu_out) {
     const profile::PmuCounterSet& set = profile::thread_counters();
     std::ofstream out(*options_.pmu_out);
     out << profile::pmu_stats_to_json(pmu_stats_, set.available(),

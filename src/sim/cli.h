@@ -6,8 +6,7 @@
 //   --reps=<int>     replicate override
 //   --json=<path>    override the destination of the unified JSON report
 //
-// Flight-recorder flags (benches and examples; active in telemetry builds,
-// a stderr note otherwise):
+// Flight-recorder flags (benches and examples):
 //   --trace                print a per-phase timing table on exit
 //   --trace-out=<path>     write a Chrome trace-event JSON timeline on exit
 //   --stream-out=<path>    write a per-round JSONL stream (X_t, drift,
@@ -18,11 +17,11 @@
 // Profiling flags (benches and examples; DESIGN.md §3.8):
 //   --pmu-out=<path>       write per-phase hardware-counter totals (cycles,
 //                          instructions, LLC/branch misses, IPC) as JSON;
-//                          probes need a telemetry build, and on no-PMU
-//                          hosts the report carries pmu_available:false
+//                          on no-PMU hosts the report carries
+//                          pmu_available:false
 //   --profile-out=<path>   run the SIGPROF sampling profiler and write
 //                          folded stacks (flamegraph.pl / speedscope input);
-//                          works in every build, off unless requested
+//                          off unless requested
 //   --profile-hz=<n>       sampling rate in CPU-time Hz (default 97)
 //
 // Checkpoint/resume flags (benches and examples; independent of telemetry):
@@ -33,7 +32,7 @@
 //   --resume=auto|<path>     resume from the newest valid ring entry (auto,
 //                            with corrupt-entry fallback) or one exact file
 //
-// Introspection flag (benches and examples; DESIGN.md §3.9, any build):
+// Introspection flag (benches and examples; DESIGN.md §3.9):
 //   --listen=<addr:port>   start the in-process HTTP exporter serving
 //                          /metrics (Prometheus), /healthz, /progress
 //                          (JSON), and /stream (live per-round JSONL);
@@ -99,9 +98,8 @@ struct FlightRecorderOptions {
   std::optional<std::string> pmu_out;
   std::optional<std::string> profile_out;
   int profile_hz = 97;
-  // Introspection server (--listen=<addr:port>; obs/server.h). Works in
-  // every build; /stream needs a telemetry build, and /metrics phase rows
-  // additionally need a phase sink (--trace or bench_profile's).
+  // Introspection server (--listen=<addr:port>; obs/server.h). /metrics
+  // phase rows need a phase sink (--trace or bench_profile's).
   std::optional<std::string> listen;
 
   // True when a trace or stream file was asked for.
@@ -189,8 +187,7 @@ class OutcomeLedger {
 // board — and installs them as ONE telemetry::SinkScope for its lifetime.
 // The destructor ends that scope, then writes the trace, PMU and metrics
 // files, flushes the stream, prints the phase table, and reports what was
-// written (with the dropped-event count) on stderr. Telemetry-only outputs
-// print a single stderr note in a non-telemetry build. Construct before
+// written (with the dropped-event count) on stderr. Construct before
 // the run, destroy after — installation must not race an engine; a bench's
 // own SinkScope nests inside or around it.
 //

@@ -24,7 +24,6 @@ JsonValue build_stamp() {
   build.set("compiler", "unknown");
 #endif
   build.set("standard", static_cast<std::int64_t>(__cplusplus));
-  build.set("telemetry", telemetry::kCompiledIn);
   return build;
 }
 
@@ -213,10 +212,6 @@ std::vector<std::string> validate_bench_report(const JsonValue& report) {
       if (v == nullptr || !v->is_string()) {
         errors.push_back(std::string("build.") + key + " is not a string");
       }
-    }
-    const JsonValue* flag = build->find("telemetry");
-    if (flag == nullptr || flag->kind() != JsonValue::Kind::kBool) {
-      errors.push_back("build.telemetry is not a bool");
     }
   }
   const JsonValue* phases = report.find("phases");

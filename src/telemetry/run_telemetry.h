@@ -1,9 +1,9 @@
 // RunTelemetry: per-run measurement summary attached to RunResult.
 //
-// This struct is OUTSIDE the simulation payload: engines fill it only when
-// the library is built with BITSPREAD_TELEMETRY (recorded == true), and the
-// determinism/byte-identity tests deliberately exclude it when comparing
-// RunResults across builds. It must never feed back into stepping logic.
+// This struct is OUTSIDE the simulation payload: the RunDriver fills it on
+// every run, and the determinism/byte-identity tests deliberately exclude it
+// when comparing RunResults (it holds wall-clock time). It must never feed
+// back into stepping logic.
 #ifndef BITSPREAD_TELEMETRY_RUN_TELEMETRY_H_
 #define BITSPREAD_TELEMETRY_RUN_TELEMETRY_H_
 
@@ -12,9 +12,6 @@
 namespace bitspread {
 
 struct RunTelemetry {
-  // False in telemetry-disabled builds: every other field is then zero.
-  bool recorded = false;
-
   double wall_seconds = 0.0;
   std::uint64_t rounds = 0;
 

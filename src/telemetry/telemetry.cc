@@ -72,8 +72,6 @@ SinkScope::~SinkScope() {
   g_sinks.store(enclosing_, std::memory_order_release);
 }
 
-#ifdef BITSPREAD_TELEMETRY
-
 void Probe::open(const Sinks& bundle) noexcept {
   bundle_ = &bundle;
   take_reading(bundle, begin_.emplace());
@@ -93,8 +91,6 @@ void Probe::close() noexcept {
     bundle_->trace->span(phase_name(phase_), begin_ns, end.wall_ns);
   }
 }
-
-#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace telemetry
 }  // namespace bitspread

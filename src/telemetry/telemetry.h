@@ -1,21 +1,15 @@
-// The telemetry switch, the sink bundle, and the RAII phase probe.
+// The sink bundle and the RAII phase probe.
 //
-// Two gates keep the measurement layer out of the measured system:
+// One gate keeps the measurement layer out of the measured system: a probe
+// records only while the installed Sinks bundle holds a phase, PMU or trace
+// sink; otherwise it costs one pointer load and never reads the clock. The
+// probes are compiled into every build, so the build that runs the tests is
+// the build that is measured (bench/e2e times the sinkless probes).
 //
-//  1. *Compile time.* Probes exist only when the library is built with
-//     -DBITSPREAD_TELEMETRY (CMake option BITSPREAD_TELEMETRY, preset
-//     `telemetry`). Without it, Probe is an empty object and every
-//     accounting branch is `if constexpr`-eliminated — the disabled build is
-//     bit-for-bit the untouched hot path (CI asserts the runtime delta of the
-//     enabled build stays under 5% on perf_smoke).
-//  2. *Run time.* Even when compiled in, a probe records only while the
-//     installed Sinks bundle holds a phase, PMU or trace sink; otherwise it
-//     costs one pointer load and never reads the clock.
-//
-// Neither gate can perturb simulation results: telemetry reads clocks and
-// bumps counters, and NEVER touches an RNG stream — the determinism suite
-// must pass bit-identical with telemetry on and off (tests/telemetry_test.cc
-// pins golden run payloads compiled into both builds).
+// A probe cannot perturb simulation results: it reads clocks and bumps
+// counters, and NEVER touches an RNG stream — every engine must reproduce
+// its golden run payload with sinks installed and without
+// (tests/telemetry_test.cc).
 #ifndef BITSPREAD_TELEMETRY_TELEMETRY_H_
 #define BITSPREAD_TELEMETRY_TELEMETRY_H_
 
@@ -39,13 +33,6 @@ class PmuPhaseStats;
 }  // namespace profile
 
 namespace telemetry {
-
-// True when the library was built with -DBITSPREAD_TELEMETRY.
-#ifdef BITSPREAD_TELEMETRY
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 // The instrumented phases of a simulation run. Every engine reports through
 // the same vocabulary so bench reports are comparable across engines.
@@ -128,9 +115,7 @@ class RoundSink {
 // Everything a run can explain itself through, as one bundle: wall-clock
 // phase totals, hardware-counter totals (profile/counters.h), the trace
 // recorder, the per-round stream, and the live-progress board
-// (obs/progress.h). Every pointer is optional and none is owned. The phase,
-// trace and round fields have readers only in telemetry builds; the PMU
-// sink and the progress board are read in every build.
+// (obs/progress.h). Every pointer is optional and none is owned.
 struct Sinks {
   PhaseStats* phases = nullptr;
   profile::PmuPhaseStats* pmu = nullptr;
@@ -168,7 +153,6 @@ class SinkScope {
 // can end — and free what it installed — under the reader.
 std::unique_lock<std::mutex> lock_sinks();
 
-#ifdef BITSPREAD_TELEMETRY
 // The one reading every probe takes: the calling thread's counter group
 // when the bundle holds a PMU sink (that read carries a clock value too),
 // the clock alone otherwise.
@@ -182,28 +166,22 @@ inline void take_reading(const Sinks& bundle,
 }
 
 // Round marker: feeds the bundle's TraceRecorder (counter event "X_t") and
-// RoundSink. Costs one pointer load when neither is installed; compiles to
-// nothing in the default build. Defined in trace.cc.
+// RoundSink. Costs one pointer load when neither is installed. Defined in
+// trace.cc.
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept;
 // Instant marker (e.g. "source_flip") on the calling thread's trace lane.
 // `name` must be a string literal (stored by pointer, not copied).
 void record_mark(const char* name) noexcept;
-#else
-inline void record_round(std::uint64_t /*round*/, std::uint64_t /*ones*/,
-                         std::uint64_t /*n*/) noexcept {}
-inline void record_mark(const char* /*name*/) noexcept {}
-#endif
 
 // RAII phase probe: attributes its lifetime to `phase`. At each end it
 // takes ONE reading (take_reading) and feeds it to the phase sink, the PMU
 // sink and the trace span alike, so the three agree to the nanosecond.
 // Dormant (one pointer load, no clock read) unless the bundle holds a
 // phase, PMU or trace sink. Tight loops pass a bundle resolved once per
-// run; a disabled build compiles this to nothing.
+// run.
 class Probe {
  public:
-#ifdef BITSPREAD_TELEMETRY
   explicit Probe(Phase phase, const Sinks& bundle = sinks()) noexcept
       : phase_(phase) {
     if (bundle.phases != nullptr || bundle.pmu != nullptr ||
@@ -214,6 +192,9 @@ class Probe {
   ~Probe() {
     if (bundle_ != nullptr) close();
   }
+
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
 
   // True when the probe took a reading.
   bool active() const noexcept { return bundle_ != nullptr; }
@@ -226,15 +207,6 @@ class Probe {
   Phase phase_;
   // Engaged only while active: a dormant probe never fills the reading.
   std::optional<profile::CounterSnapshot> begin_;
-#else
-  explicit Probe(Phase /*phase*/) noexcept {}
-  Probe(Phase /*phase*/, const Sinks& /*bundle*/) noexcept {}
-  bool active() const noexcept { return false; }
-#endif
-
- public:
-  Probe(const Probe&) = delete;
-  Probe& operator=(const Probe&) = delete;
 };
 
 }  // namespace telemetry

@@ -326,8 +326,6 @@ std::vector<std::string> validate_chrome_trace(const JsonValue& trace) {
   return errors;
 }
 
-#ifdef BITSPREAD_TELEMETRY
-
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept {
   const Sinks& bundle = sinks();
@@ -342,8 +340,6 @@ void record_mark(const char* name) noexcept {
     recorder->instant(name, clock_now_ns());
   }
 }
-
-#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace telemetry
 }  // namespace bitspread

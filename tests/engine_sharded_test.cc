@@ -10,13 +10,16 @@
 #include "core/stateful.h"
 #include "engine/agent.h"
 #include "engine/sharded.h"
+#include "faults/environment.h"
 #include "markov/dense_chain.h"
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
 #include "protocols/undecided.h"
 #include "protocols/voter.h"
 #include "sim/parallel.h"
+#include "snapshot/state.h"
 #include "stats/ks.h"
+#include "topology/topology.h"
 
 namespace bitspread {
 namespace {
@@ -305,6 +308,78 @@ TEST(ShardedEngine, AgreesWithAgentEngineInLaw) {
   const double d = ks_statistic(sharded_times, agent_times);
   EXPECT_GT(ks_p_value(d, sharded_times.size(), agent_times.size()), 1e-3)
       << "KS=" << d;
+}
+
+// --- The legacy loop, pinned ----------------------------------------------
+
+// The per-agent legacy loop is the oracle every kernel path is KS-tested
+// against, so its draw order is pinned here, not only its thread identity
+// and its law: Voter l = 2 (a fractional g-table) and Undecided (a stateful
+// protocol), fault-free and with every fault channel, on the complete graph
+// and a ring. n spans four blocks and ends in a partial word. Each digest
+// folds the run payload and every trajectory point.
+struct LegacyPin {
+  bool stateful;
+  bool faulty;
+  bool ring;
+  std::uint64_t digest;
+};
+
+constexpr LegacyPin kLegacyPins[] = {
+    {false, false, false, 10932156994928206040ull},
+    {false, false, true, 1278303619604497496ull},
+    {false, true, false, 1847115638665691461ull},
+    {false, true, true, 4241624107121245179ull},
+    {true, false, false, 16685115946489954906ull},
+    {true, false, true, 6922532063756694327ull},
+    {true, true, false, 10223661216700297065ull},
+    {true, true, true, 11177362653854729147ull},
+};
+
+std::uint64_t run_digest(const RunResult& result,
+                         const Trajectory& trajectory) {
+  std::uint64_t hash = snapshot::payload_digest(result);
+  for (const Trajectory::Point& point : trajectory.points()) {
+    for (const std::uint64_t v : {point.round, point.ones}) {
+      hash = (hash ^ v) * 0x100000001B3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(ShardedLegacyGolden, DigestsMatchPinnedValues) {
+  constexpr std::uint64_t n = 3 * ShardedAgentEngine::kBlockAgents + 37;
+  const VoterDynamics voter(2);
+  const UndecidedStateDynamics usd;
+  const Topology ring = Topology::ring(n);
+  EnvironmentModel faults;
+  faults.observation_noise = 0.02;
+  faults.spontaneous_rate = 0.01;
+  faults.churn_rate = 0.002;
+  faults.extra_zealots = 40;
+  faults.source_flip_rounds = {12};
+  StopRule rule;
+  rule.max_rounds = 30;
+  const Configuration init = init_fraction_ones(n, Opinion::kOne, 0.6);
+  for (const LegacyPin& pin : kLegacyPins) {
+    for (const unsigned threads : {1u, 3u}) {
+      const ShardedAgentEngine::Options options{
+          .threads = threads,
+          .kernel = kernel::Backend::kLegacy,
+          .topology = pin.ring ? &ring : nullptr};
+      const ShardedAgentEngine engine =
+          pin.stateful ? ShardedAgentEngine(usd, options)
+                       : ShardedAgentEngine(voter, options);
+      Trajectory trajectory;
+      const RunResult result =
+          pin.faulty ? engine.run(init, rule, faults, 2024, &trajectory)
+                     : engine.run(init, rule, 2024, &trajectory);
+      EXPECT_EQ(run_digest(result, trajectory), pin.digest)
+          << (pin.stateful ? "undecided" : "voter(l=2)")
+          << (pin.faulty ? " faulty" : " fault-free")
+          << (pin.ring ? " ring" : " complete") << " threads=" << threads;
+    }
+  }
 }
 
 TEST(WorkerPool, NestedParallelForRunsInline) {

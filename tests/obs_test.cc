@@ -609,7 +609,6 @@ TEST_F(LiveServerTest, HealthzParsesAndReportsState) {
   EXPECT_NE(doc->find("status"), nullptr);
   EXPECT_NE(doc->find("uptime_seconds"), nullptr);
   EXPECT_NE(doc->find("scrapes"), nullptr);
-  EXPECT_NE(doc->find("telemetry_compiled_in"), nullptr);
   EXPECT_NE(doc->find("stream_available"), nullptr);
 }
 
@@ -694,9 +693,6 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
 }
 
 TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
-  if (!telemetry::kCompiledIn) {
-    GTEST_SKIP() << "record_round is compiled out without BITSPREAD_TELEMETRY";
-  }
   const telemetry::SinkScope scope({.rounds = &hub_});
   std::atomic<bool> stop{false};
   std::thread producer([&] {
@@ -749,9 +745,7 @@ TEST(MetricsCapture, ScrapeWhileInstallHammerIsClean) {
       const obs::MetricsSnapshot snap = obs::capture_metrics(registry);
       const bool board = snap.runs_started > 0;
       EXPECT_EQ(snap.pmu_present, board);
-      if (telemetry::kCompiledIn) {
-        EXPECT_EQ(snap.phases_present, board);
-      }
+      EXPECT_EQ(snap.phases_present, board);
       if (snap.pmu_present) {
         ASSERT_EQ(snap.pmu.size(), 1u);
         EXPECT_EQ(snap.pmu[0].samples, 1u);

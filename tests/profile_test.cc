@@ -3,9 +3,7 @@
 // sampling profiler, and — the property everything else leans on — that a
 // profiled run is bit-identical to an unprofiled one.
 //
-// The suite is build-agnostic: probe-dependent expectations key off
-// telemetry::kCompiledIn, so it runs green in the default build (probes are
-// no-ops), the telemetry build (probes live), and under BITSPREAD_NO_PMU=1
+// The suite runs green on the host's rung and under BITSPREAD_NO_PMU=1
 // (forced fallback rung; the dedicated ctest variant in CMakeLists sets it).
 #include "profile/counters.h"
 
@@ -239,9 +237,20 @@ TEST(PmuPhaseStats, JsonCarriesPhasesAndFallbackStamp) {
 // --------------------------------------------------------------------------
 // Probes: sink discipline and bit-identity.
 
-TEST(Probes, KernelBlockProfilerRecordsOnlyWhenCompiledAndSinked) {
+TEST(Probes, KernelBlockProfilerRecordsOnlyWhenSinked) {
   PmuPhaseStats pmu_stats;
   telemetry::PhaseStats phase_stats;
+  {
+    // Resolved with no sink installed, a profiler stays dormant for its
+    // whole block, even if a sink appears meanwhile.
+    KernelBlockProfiler dormant;
+    const telemetry::SinkScope scope(
+        {.phases = &phase_stats, .pmu = &pmu_stats});
+    dormant.enter(telemetry::Phase::kKernelFault);
+    dormant.leave();
+  }
+  EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelFault), 0u);
+  EXPECT_EQ(phase_stats.count(telemetry::Phase::kKernelFault), 0u);
   {
     const telemetry::SinkScope scope(
         {.phases = &phase_stats, .pmu = &pmu_stats});
@@ -254,17 +263,11 @@ TEST(Probes, KernelBlockProfilerRecordsOnlyWhenCompiledAndSinked) {
     prof.leave();
   }
 
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelGather), 1u);
-    EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelCommit), 1u);
-    EXPECT_GT(phase_stats.total_seconds(telemetry::Phase::kKernelGather), 0.0);
-    // pmu_backed mirrors the host's rung: hardware deltas or wall-only.
-    EXPECT_EQ(pmu_stats.pmu_backed(), thread_counters().available());
-  } else {
-    EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelGather), 0u);
-    EXPECT_DOUBLE_EQ(
-        phase_stats.total_seconds(telemetry::Phase::kKernelGather), 0.0);
-  }
+  EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelGather), 1u);
+  EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelCommit), 1u);
+  EXPECT_GT(phase_stats.total_seconds(telemetry::Phase::kKernelGather), 0.0);
+  // pmu_backed mirrors the host's rung: hardware deltas or wall-only.
+  EXPECT_EQ(pmu_stats.pmu_backed(), thread_counters().available());
 }
 
 TEST(Probes, ProfiledRunIsBitIdentical) {
@@ -300,10 +303,9 @@ TEST(Probes, ProfiledRunIsBitIdentical) {
         << "backend " << kernel::backend_name(backend);
     EXPECT_EQ(profiled.ticks, plain.ticks)
         << "backend " << kernel::backend_name(backend);
-    if (telemetry::kCompiledIn && backend != kernel::Backend::kLegacy) {
+    if (backend != kernel::Backend::kLegacy) {
       EXPECT_GT(pmu_stats.samples(telemetry::Phase::kKernelGather), 0u)
-          << "kernel backends must record sub-phase samples when probes "
-             "are compiled in";
+          << "kernel backends must record sub-phase samples";
     }
   }
 }

@@ -154,11 +154,9 @@ TEST(RunLoopFaults, ConflictingBothCampsReportsZealotTelemetry) {
   const RunResult result = engine.run(config, rule, model, rng);
   EXPECT_TRUE(result.reason == StopReason::kCorrectConsensus ||
               result.reason == StopReason::kRoundLimit);
-  if (telemetry::kCompiledIn) {
-    // The minority camp rides the zealot channel.
-    EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-    EXPECT_GT(result.telemetry.samples_drawn, 0u);
-  }
+  // The minority camp rides the zealot channel.
+  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
+  EXPECT_GT(result.telemetry.samples_drawn, 0u);
 }
 
 TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
@@ -169,11 +167,8 @@ TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
   const auto watch = engine.watch(ConflictingConfiguration{64, 32, 4, 2}, 25,
                                   rng, &trajectory);
   EXPECT_EQ(trajectory.back().round, 25u);
-  EXPECT_EQ(watch.telemetry.recorded, telemetry::kCompiledIn);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(watch.telemetry.rounds, 25u);
-    EXPECT_GT(watch.telemetry.samples_drawn, 0u);
-  }
+  EXPECT_EQ(watch.telemetry.rounds, 25u);
+  EXPECT_GT(watch.telemetry.samples_drawn, 0u);
 }
 
 // --- Multi-opinion engines ------------------------------------------------
@@ -205,10 +200,8 @@ TEST(RunLoopFaults, MultiChurnKeepsRunFromConsensusAndIsCounted) {
       engine.run(MultiConfiguration{{50, 7, 7}, 0, 1}, rule, model, rng);
   EXPECT_EQ(result.reason, StopReason::kRoundLimit);
   EXPECT_TRUE(result.censored());
-  if (telemetry::kCompiledIn) {
-    EXPECT_GT(result.telemetry.fault_churned, 0u);
-    EXPECT_EQ(result.telemetry.rounds, 50u);
-  }
+  EXPECT_GT(result.telemetry.fault_churned, 0u);
+  EXPECT_EQ(result.telemetry.rounds, 50u);
 }
 
 TEST(RunLoopFaults, MultiWrongConsensusDoesNotStopWhenEscapable) {
@@ -282,9 +275,7 @@ TEST(RunLoopFaults, PopulationZealotSlotsStayFrozen) {
   // Zealots pin the initially wrong opinion (kZero -> the last slots).
   EXPECT_EQ(voter.opinion(population.states[15]), Opinion::kZero);
   EXPECT_EQ(voter.opinion(population.states[14]), Opinion::kZero);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-  }
+  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
 }
 
 TEST(RunLoopTrajectory, PopulationRunRecordsPerParallelRound) {
@@ -321,12 +312,8 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
       result = alpha.run(Configuration{4096, 2048, Opinion::kOne}, rule, rng);
     }
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(result.ticks, 10u);
-      EXPECT_EQ(stream.rounds_seen(), result.ticks + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(result.ticks, 10u);
+    EXPECT_EQ(stream.rounds_seen(), result.ticks + 1);
   }
   {
     telemetry::RoundStream stream(path);
@@ -343,11 +330,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
           engine.run(MultiConfiguration{{2048, 1024, 1024}, 0, 1}, rule, rng);
     }
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
   }
   {
     telemetry::RoundStream stream(path);
@@ -364,11 +347,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
       result = engine.run(population, rule, rng);
     }
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
   }
 }
 
@@ -395,14 +374,12 @@ TEST(RunLoopTelemetry, OneReadingFeedsPhaseAndPmuSinksAlike) {
                         rng);
   }
   ASSERT_EQ(result.rounds(), 64u);
-  const std::uint64_t rounds = telemetry::kCompiledIn ? result.rounds() : 0;
-  EXPECT_EQ(phases.count(telemetry::Phase::kRoundStep), rounds);
-  EXPECT_EQ(pmu.samples(telemetry::Phase::kRoundStep), rounds);
+  EXPECT_EQ(phases.count(telemetry::Phase::kRoundStep), result.rounds());
+  EXPECT_EQ(pmu.samples(telemetry::Phase::kRoundStep), result.rounds());
   for (const telemetry::Phase phase :
        {telemetry::Phase::kRoundStep, telemetry::Phase::kStopCheck,
         telemetry::Phase::kFaultApply}) {
-    EXPECT_EQ(phases.count(phase) > 0, telemetry::kCompiledIn)
-        << telemetry::phase_name(phase);
+    EXPECT_GT(phases.count(phase), 0u) << telemetry::phase_name(phase);
     EXPECT_EQ(phases.count(phase), pmu.samples(phase))
         << telemetry::phase_name(phase);
     EXPECT_EQ(phases.total_ns(phase), pmu.wall_ns(phase))

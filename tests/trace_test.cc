@@ -1,11 +1,8 @@
 // Flight-recorder tests: ring wraparound and capacity accounting, Chrome
 // trace-event export validity (matched B/E pairs, monotone timestamps,
 // counter/instant interleaving), the structural validator's rejection cases,
-// the per-round JSONL stream's stride/line-count contract, and — gated on
-// the build flavor — the engine and worker-pool probes. The TraceRecorder
-// and RoundStream classes compile in BOTH builds (their direct APIs are
-// exercised unconditionally); only the probe-driven tests branch on
-// telemetry::kCompiledIn.
+// the per-round JSONL stream's stride/line-count contract, and the engine
+// and worker-pool probes that feed them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -341,19 +338,14 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
     result = engine.run(init_half(4096, Opinion::kOne), rule, rng);
   }
 
-  if (telemetry::kCompiledIn) {
-    ASSERT_EQ(result.rounds(), 50u);
-    // Round 0 plus one record per executed round.
-    EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
-    EXPECT_EQ(stream.lines(), result.rounds() + 1);
-    const JsonValue trace = recorder.export_chrome_trace();
-    EXPECT_TRUE(telemetry::validate_chrome_trace(trace).empty());
-    EXPECT_EQ(count_events(trace, "C", "X_t"),
-              static_cast<int>(result.rounds()) + 1);
-  } else {
-    EXPECT_EQ(recorder.recorded(), 0u);
-    EXPECT_EQ(stream.rounds_seen(), 0u);
-  }
+  ASSERT_EQ(result.rounds(), 50u);
+  // Round 0 plus one record per executed round.
+  EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
+  EXPECT_EQ(stream.lines(), result.rounds() + 1);
+  const JsonValue trace = recorder.export_chrome_trace();
+  EXPECT_TRUE(telemetry::validate_chrome_trace(trace).empty());
+  EXPECT_EQ(count_events(trace, "C", "X_t"),
+            static_cast<int>(result.rounds()) + 1);
 }
 
 TEST(TraceProbes, WorkerPoolRecordsBusySpans) {
@@ -367,18 +359,14 @@ TEST(TraceProbes, WorkerPoolRecordsBusySpans) {
   }
   ASSERT_EQ(executed.load(), 256);
 
-  if (telemetry::kCompiledIn) {
-    const JsonValue trace = recorder.export_chrome_trace();
-    EXPECT_TRUE(telemetry::validate_chrome_trace(trace).empty());
-    EXPECT_GE(count_events(trace, "B", "worker_busy"), 1);
-  } else {
-    EXPECT_EQ(recorder.recorded(), 0u);
-  }
+  const JsonValue trace = recorder.export_chrome_trace();
+  EXPECT_TRUE(telemetry::validate_chrome_trace(trace).empty());
+  EXPECT_GE(count_events(trace, "B", "worker_busy"), 1);
 }
 
 TEST(TraceProbes, UninstalledRecorderStaysSilent) {
   TraceRecorder recorder;
-  // Never installed: probes must not reach it even in the telemetry build.
+  // Never installed: probes must not reach it.
   const VoterDynamics voter;
   const AggregateParallelEngine engine(voter);
   StopRule rule;

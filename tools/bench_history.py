@@ -15,8 +15,8 @@ Usage:
     bench_history.py self-test
 
 History entries use schema "bitspread-history/1": one JSON object per
-line holding the provenance key (bench name, build type, telemetry flag,
-quick flag, hardware_concurrency) plus the extracted metrics:
+line holding the provenance key (bench name, build type, quick flag,
+hardware_concurrency) plus the extracted metrics:
 
   * throughput.<benchmark>   items/sec of each row in "benchmarks"
   * phase_share.<phase>      that phase's fraction of total phase seconds
@@ -73,7 +73,6 @@ def provenance_key(report):
     return {
         "bench": report.get("bench"),
         "build_type": build.get("type"),
-        "telemetry": bool(build.get("telemetry", False)),
         "quick": bool(report.get("quick", False)),
         "hardware_concurrency": report.get("hardware_concurrency"),
     }
@@ -345,7 +344,7 @@ def _fake_report(ips_scale=1.0, phase_secs=None, profiles_ipc=None):
         "bench": "engine",
         "quick": True,
         "hardware_concurrency": 1,
-        "build": {"type": "release", "telemetry": False},
+        "build": {"type": "release"},
         "benchmarks": [
             {"name": "agent_serial_step",
              "items_per_second": 4.0e7 * ips_scale},
@@ -474,6 +473,16 @@ def cmd_selftest(_args):
                 "a debug report must not gate against release history"
             )
 
+        def test_stamped_history_still_matches():
+            # Entries appended while reports carried a build.telemetry
+            # stamp keep a "telemetry" field; the key no longer holds it,
+            # so they still gate reports that carry no stamp.
+            old = make_entry(_fake_report(), "old", None)
+            old["telemetry"] = False
+            assert matching_entries([old], provenance_key(_fake_report())), (
+                "a stamped history entry must match an unstamped report"
+            )
+
         def test_malformed_input():
             broken = os.path.join(tmp, "broken.json")
             with open(broken, "w", encoding="utf-8") as fh:
@@ -580,6 +589,7 @@ def cmd_selftest(_args):
             ("phase-share drift fails", test_share_drift_fails),
             ("new phase set skips share gate", test_new_phase_set_skips_share_gate),
             ("provenance key isolates builds", test_provenance_isolation),
+            ("stamped history entries still match", test_stamped_history_still_matches),
             ("malformed JSON is a clean error", test_malformed_input),
             ("missing file is a clean error", test_missing_input),
             ("torn trailing history line is skipped", test_torn_trailing_line_is_skipped),

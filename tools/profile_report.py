@@ -89,8 +89,7 @@ def render_breakdown(report):
         )
         subs = row.get("sub_phases")
         if not subs:
-            lines.append("  (no sub-phase markers: legacy loop or "
-                         "non-telemetry build)")
+            lines.append("  (no sub-phase markers: legacy loop)")
             continue
         lines.append(
             f"  {'sub-phase':<10} {'share':>7} {'wall':>9} {'cycles':>13} "
@@ -175,8 +174,8 @@ def check_ipc(report, history_path, ipc_drop, min_entries, window):
     lines = []
     candidate = ipc_metrics(report)
     if not candidate:
-        lines.append("ipc gate: report carries no IPC data (no-PMU host "
-                     "or non-telemetry build) — passing vacuously")
+        lines.append("ipc gate: report carries no IPC data (no-PMU host) "
+                     "— passing vacuously")
         return 0, lines
     key = bench_history.provenance_key(report)
     history = bench_history.matching_entries(
@@ -241,9 +240,9 @@ def _fake_profile_report(ipc_scale=1.0, pmu=True):
         "bench": "profile",
         "quick": True,
         "hardware_concurrency": 1,
-        "build": {"type": "release", "telemetry": True},
+        "build": {"type": "release"},
         "workload": {"n": 16384, "rounds": 64},
-        "pmu": {"available": pmu, "subphase_markers": True,
+        "pmu": {"available": pmu,
                 **({} if pmu else {"unavailable_reason": "forced"})},
         "benchmarks": [
             {"name": "profile_avx2", "items_per_second": 1.0e8}
