@@ -72,18 +72,21 @@ inline std::uint64_t range_word(std::uint64_t base, std::uint64_t lo,
   return upper & ~((std::uint64_t{1} << from) - 1);
 }
 
-// 64 iid Bernoulli(p) bits in ~2 expected draws: the popcount is
+// 64 iid Bernoulli(p) bits from `coin` = Binomial(64, p): the popcount is
 // Binomial(64, p)-distributed and the set positions a uniform subset, which
-// is exactly the law of 64 independent coins.
-inline std::uint64_t bernoulli_word(Rng& aux, FloydSampler& sampler,
-                                    double p) {
-  const std::uint64_t k = binomial(aux, 64, p);
+// is exactly the law of 64 independent coins. The positions are Floyd's
+// k-subset of [0, 64) with the word as its membership set: the same
+// next_below(j + 1) draws and the same subset as FloydSampler::sample(64, k).
+inline std::uint64_t bernoulli_word(Rng& aux,
+                                    const BinomialTable& coin) noexcept {
+  const std::uint64_t k = coin.draw(aux);
   if (k == 0) return 0;
   if (k >= 64) return ~std::uint64_t{0};
   std::uint64_t word = 0;
-  sampler.sample(64, k, aux, [&word](std::uint64_t bit) noexcept {
-    word |= std::uint64_t{1} << bit;
-  });
+  for (std::uint64_t j = 64 - k; j < 64; ++j) {
+    const std::uint64_t bit = std::uint64_t{1} << aux.next_below(j + 1);
+    word |= (word & bit) != 0 ? std::uint64_t{1} << j : bit;
+  }
   return word;
 }
 
@@ -286,9 +289,10 @@ void process_block_impl(const BlockArgs& a) {
   Filler filler(lanes);
   const CircuitTable& table = *a.table;
   const FaultChannels* faults = a.faults;
-  const double eps = faults != nullptr ? faults->observation_noise : 0.0;
-  const double eta = faults != nullptr ? faults->spontaneous_rate : 0.0;
-  const double delta = faults != nullptr ? faults->churn_rate : 0.0;
+  const bool noisy = faults != nullptr && faults->noise.p() > 0.0;
+  const bool spontaneous =
+      faults != nullptr && faults->spontaneous_select.p() > 0.0;
+  const bool churning = faults != nullptr && faults->churn.p() > 0.0;
 
   std::uint64_t ones = 0;
   std::uint64_t churned = 0;
@@ -328,20 +332,20 @@ void process_block_impl(const BlockArgs& a) {
     // 2. Auxiliary stream, fixed channel order: noise masks, tie word,
     // spontaneous select/value, churn select.
     prof.enter(telemetry::Phase::kKernelFault);
-    if (eps > 0.0) {
+    if (noisy) {
       for (std::uint32_t j = 0; j < a.ell; ++j) {
-        L[j] ^= bernoulli_word(aux, *a.sampler, eps);
+        L[j] ^= bernoulli_word(aux, faults->noise);
       }
     }
     const std::uint64_t tie = table.any_half ? aux() : 0;
     std::uint64_t spont_sel = 0;
     std::uint64_t spont_val = 0;
     std::uint64_t churn_sel = 0;
-    if (eta > 0.0) {
-      spont_sel = bernoulli_word(aux, *a.sampler, eta);
-      spont_val = bernoulli_word(aux, *a.sampler, faults->spontaneous_bias);
+    if (spontaneous) {
+      spont_sel = bernoulli_word(aux, faults->spontaneous_select);
+      spont_val = bernoulli_word(aux, faults->spontaneous_value);
     }
-    if (delta > 0.0) churn_sel = bernoulli_word(aux, *a.sampler, delta);
+    if (churning) churn_sel = bernoulli_word(aux, faults->churn);
 
     // 3. Count + decide, then the fault overrides in legacy order
     // (spontaneous replaces the protocol's output, churn replaces both).
@@ -353,8 +357,8 @@ void process_block_impl(const BlockArgs& a) {
     if (table.own_dependent) {
       value = (~own & value) | (own & decide(count, table, 1, tie));
     }
-    if (eta > 0.0) value = (value & ~spont_sel) | (spont_val & spont_sel);
-    if (delta > 0.0) {
+    if (spontaneous) value = (value & ~spont_sel) | (spont_val & spont_sel);
+    if (churning) {
       value = (value & ~churn_sel) | (faults->wrong_word & churn_sel);
       churned += static_cast<std::uint64_t>(std::popcount(churn_sel & update));
     }

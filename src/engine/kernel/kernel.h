@@ -25,8 +25,10 @@
 // XORs Bernoulli(eps) mask words onto the lanes, the spontaneous channel
 // overrides the circuit output through a Bernoulli(eta) select mask (exactly
 // the (1-eta) g + eta bias fold the legacy table applies), churn overrides
-// to the wrong opinion through a Bernoulli(delta) mask. Mask words cost ~2
-// draws each (Binomial(64, p) count + Floyd positions) instead of 64.
+// to the wrong opinion through a Bernoulli(delta) mask. A mask word costs
+// one Binomial(64, p) count, drawn from a per-round BinomialTable (no
+// exp/log per word), plus one next_below per set bit, placed by Floyd's
+// algorithm inside the word itself — ~1.6 draws at p = 0.01 instead of 64.
 //
 // Stream schedule: the kernel defines its own per-(round, block) draw
 // order, "kernel/2" (DESIGN.md section 3.6; on graphs, kernel/2 over rows)
@@ -41,6 +43,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "random/binomial.h"
 
 namespace bitspread {
 
@@ -92,11 +96,14 @@ struct CircuitTable {
 };
 
 // Fault-channel parameters for a faulty step (all zero rates = fault-free).
+// Each channel is the Binomial(64, p) coin of its mask words, built once per
+// round: observation noise eps, spontaneous select eta and value bias,
+// churn delta.
 struct FaultChannels {
-  double observation_noise = 0.0;
-  double spontaneous_rate = 0.0;
-  double spontaneous_bias = 0.0;
-  double churn_rate = 0.0;
+  BinomialTable noise;
+  BinomialTable spontaneous_select;
+  BinomialTable spontaneous_value;
+  BinomialTable churn;
   std::uint64_t zealot_begin = 0;  // Contiguous frozen range, may be empty.
   std::uint64_t zealot_end = 0;
   std::uint64_t wrong_word = 0;  // All-ones iff the wrong opinion is One.
@@ -104,8 +111,8 @@ struct FaultChannels {
 
 // One block of work: words [first_word, first_word + word_count) of the
 // population planes. The caller owns every pointer; `sampler` and
-// `index_scratch` (ell * 64 slots, distinct mode only) are per-worker
-// scratch, so concurrent blocks never share them.
+// `index_scratch` (ell * 64 slots) serve distinct mode only and are
+// per-worker scratch, so concurrent blocks never share them.
 struct BlockArgs {
   const std::uint64_t* current = nullptr;
   std::uint64_t* next = nullptr;

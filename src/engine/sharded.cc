@@ -500,10 +500,10 @@ bool ShardedAgentEngine::prepare_kernel(Population& population,
   plan.faulty = session != nullptr;
   if (session != nullptr) {
     const EnvironmentModel& model = session->model();
-    plan.faults.observation_noise = model.observation_noise;
-    plan.faults.spontaneous_rate = model.spontaneous_rate;
-    plan.faults.spontaneous_bias = model.spontaneous_bias;
-    plan.faults.churn_rate = model.churn_rate;
+    plan.faults.noise = BinomialTable(64, model.observation_noise);
+    plan.faults.spontaneous_select = BinomialTable(64, model.spontaneous_rate);
+    plan.faults.spontaneous_value = BinomialTable(64, model.spontaneous_bias);
+    plan.faults.churn = BinomialTable(64, model.churn_rate);
     plan.faults.zealot_begin = session->zealot_begin();
     plan.faults.zealot_end = session->zealot_end();
     plan.faults.wrong_word = opposite(population.correct_) == Opinion::kOne

@@ -14,10 +14,9 @@ namespace bitspread {
 // Expected number of rounds to reach any state in `absorbing` (indicator over
 // state indices 0..row_count-1), starting from each state:
 // solves (I - Q) t = 1 over the transient states. `row(i)` must return the
-// full transition row of state i. States from which the absorbing set is
-// unreachable make the system singular — callers must pass chains where the
-// target is reachable from every transient state (true for every
-// Prop.-3-compliant protocol with a source).
+// full transition row of state i. A state that is absorbed with probability
+// < 1 (it can reach a state from which the absorbing set is unreachable)
+// gets +infinity; the system is solved over the other states.
 std::vector<double> expected_hitting_rounds(
     std::size_t state_count,
     const std::function<std::vector<double>(std::size_t)>& row,

@@ -4,33 +4,50 @@
 #include <cmath>
 
 namespace bitspread {
+namespace {
+
+// One step of BINV's pmf recurrence: r_x from r_{x-1}, where
+// pmf(x) = pmf(x-1) * (n-x+1)/x * p/(1-p) = pmf(x-1) * (a/x - s).
+double binv_next(double r, std::uint64_t x, double s, double a) noexcept {
+  return r * (a / static_cast<double>(x) - s);
+}
+
+// BINV's walk: inverts a uniform u against r_0 = q^n, r_1, ... by
+// subtraction. The first m >= 1 entries are read from `r` (the recurrence's
+// own values), later ones computed as the walk reaches them. The walk ends
+// at x = n or at the first entry that underflows to <= 0; running off the
+// end (u ~ 1, astronomically rare) redraws u.
+std::uint64_t binv_walk(Rng& rng, std::uint64_t n, double s, double a,
+                        const double* r, std::uint64_t m) noexcept {
+  while (true) {
+    double u = rng.next_double();
+    for (std::uint64_t x = 0; x < m; ++x) {
+      if (u <= r[x]) return x;
+      u -= r[x];
+    }
+    double tail = r[m - 1];
+    for (std::uint64_t x = m; x <= n; ++x) {
+      tail = binv_next(tail, x, s, a);
+      if (tail <= 0.0) break;
+      if (u <= tail) return x;
+      u -= tail;
+    }
+  }
+}
+
+}  // namespace
+
 namespace binomial_detail {
 
-// BINV: sequential CDF inversion with the pmf recurrence
-//   pmf(x+1) = pmf(x) * (n-x)/(x+1) * p/(1-p).
-// Requires n*p small enough that q^n does not underflow; callers guarantee
+// BINV: sequential CDF inversion with the pmf recurrence. Requires n*p small
+// enough that q^n does not underflow; callers guarantee
 // n*p <= kInversionThreshold, so q^n >= exp(-~10.5) comfortably.
 std::uint64_t binv(Rng& rng, std::uint64_t n, double p) noexcept {
   const double q = 1.0 - p;
   const double s = p / q;
   const double a = static_cast<double>(n + 1) * s;
-  while (true) {  // Restart on the (astronomically rare) u ~ 1 tail overrun.
-    double r = std::exp(static_cast<double>(n) * std::log1p(-p));  // q^n
-    double u = rng.next_double();
-    std::uint64_t x = 0;
-    bool done = false;
-    while (x <= n) {
-      if (u <= r) {
-        done = true;
-        break;
-      }
-      u -= r;
-      ++x;
-      r *= a / static_cast<double>(x) - s;
-      if (r <= 0.0) break;  // Numerical tail exhausted.
-    }
-    if (done) return std::min(x, n);
-  }
+  const double r0 = std::exp(static_cast<double>(n) * std::log1p(-p));
+  return binv_walk(rng, n, s, a, &r0, 1);
 }
 
 namespace {
@@ -91,6 +108,40 @@ std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) noexcept {
     return binomial_detail::binv(rng, n, p);
   }
   return binomial_detail::btrs(rng, n, p);
+}
+
+BinomialTable::BinomialTable(std::uint64_t n, double p) noexcept
+    : n_(n), p_(p) {
+  // The decision chain of binomial(), taken once.
+  if (n == 0 || p <= 0.0) return;
+  mirrored_ = p > 0.5;
+  if (p >= 1.0) return;
+  p_low_ = mirrored_ ? 1.0 - p : p;
+  if (static_cast<double>(n) * p_low_ >= binomial_detail::kInversionThreshold) {
+    regime_ = Regime::kRejection;
+    return;
+  }
+  regime_ = Regime::kInversion;
+  const double q = 1.0 - p_low_;
+  s_ = p_low_ / q;
+  a_ = static_cast<double>(n + 1) * s_;
+  r_[0] = std::exp(static_cast<double>(n) * std::log1p(-p_low_));
+  prefix_ = 1;
+  while (prefix_ < kPrefix && prefix_ <= n) {
+    const double r = binv_next(r_[prefix_ - 1], prefix_, s_, a_);
+    if (r <= 0.0) break;
+    r_[prefix_++] = r;
+  }
+}
+
+std::uint64_t BinomialTable::draw(Rng& rng) const noexcept {
+  std::uint64_t k = 0;
+  if (regime_ == Regime::kInversion) {
+    k = binv_walk(rng, n_, s_, a_, r_, prefix_);
+  } else if (regime_ == Regime::kRejection) {
+    k = binomial_detail::btrs(rng, n_, p_low_);
+  }
+  return mirrored_ ? n_ - k : k;
 }
 
 std::vector<double> binomial_pmf(std::uint64_t n, double p) {

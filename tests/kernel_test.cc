@@ -1,7 +1,8 @@
 // The bitslice step kernel (engine/kernel/): backend resolution and env
 // overrides, the boolean g-circuit classifier, lane-RNG invariants and the
 // canonical per-slot index map (including its rejection path on CSR rows,
-// which random rows almost never reach), the
+// which random rows almost never reach), the fault mask words against
+// binomial() + FloydSampler, the
 // kernel/2 golden digest matrix (scalar backend), scalar-vs-SIMD digest
 // equality, and kernel-vs-legacy distribution cross-validation — the
 // contract that lets the kernel replace the per-agent loop without a
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/init.h"
+#include "engine/kernel/backend_impl.h"
 #include "engine/kernel/kernel.h"
 #include "engine/sharded.h"
 #include "faults/environment.h"
@@ -22,6 +24,7 @@
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
 #include "protocols/voter.h"
+#include "random/binomial.h"
 #include "random/floyd.h"
 #include "random/lanes.h"
 #include "random/rng.h"
@@ -65,12 +68,29 @@ EnvironmentModel digest_fault_model() {
   return model;
 }
 
+// The mask words' other regimes: Binomial(64, 0.15) walks ~10 entries of
+// BINV's pmf recurrence on average, past BinomialTable's 16-entry prefix in
+// ~2.5% of words, and the 0.9 bias takes the p > 1/2 mirror. Minority l = 4 has a tie at k = 2, so
+// the tie word sits between the noise and spontaneous masks on the aux
+// stream.
+EnvironmentModel heavy_fault_model() {
+  EnvironmentModel model;
+  model.observation_noise = 0.15;
+  model.spontaneous_rate = 0.05;
+  model.spontaneous_bias = 0.9;
+  model.churn_rate = 0.02;
+  model.zealot_fraction = 0.05;
+  return model;
+}
+
 // Folds population_digest over `rounds` steps from init_half(n). The faulty
-// variant plants zealots and threads a FaultSession through every step.
+// variant plants zealots and threads a FaultSession under `model` through
+// every step.
 std::uint64_t run_digest(const MemorylessProtocol& protocol, Backend backend,
                          ShardedAgentEngine::Sampling sampling,
                          std::uint64_t n, bool faulty,
-                         std::uint64_t rounds = 10, std::uint64_t seed = 99) {
+                         std::uint64_t rounds = 10, std::uint64_t seed = 99,
+                         const EnvironmentModel& model = digest_fault_model()) {
   ShardedEngineOptions options;
   options.threads = 1;
   options.sampling = sampling;
@@ -87,7 +107,7 @@ std::uint64_t run_digest(const MemorylessProtocol& protocol, Backend backend,
     }
     return h;
   }
-  const FaultSession session(digest_fault_model(), init);
+  const FaultSession session(model, init);
   auto pop = engine.make_population(session.plant(init));
   for (std::uint64_t t = 0; t < rounds; ++t) {
     engine.step(pop, t, seeds, session);
@@ -407,6 +427,38 @@ TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
 }
 
 // ---------------------------------------------------------------------------
+// Fault mask words: the per-round coin and the in-word Floyd placement
+// against their definition — binomial(aux, 64, p), then FloydSampler's
+// k-subset of [0, 64) — word for word and draw for draw. The p cover a
+// short and a long BINV walk, the BINV/BTRS boundary (64 * 10/64 = 10),
+// BTRS, p = 1/2 and the p > 1/2 mirror; p = 0 and 1 draw nothing.
+
+TEST(KernelFaultMask, WordsMatchBinomialThenFloydSampler) {
+  const double kPs[] = {0.0, 1e-9, 0.01, 0.15, 10.0 / 64, 0.3,
+                        0.5, 0.9, 0.999, 1.0};
+  for (const double p : kPs) {
+    const BinomialTable coin(64, p);
+    FloydSampler sampler;
+    Rng aux(0xfa017);
+    Rng reference(0xfa017);
+    const auto fresh = aux.state();
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t word = kernel::detail::bernoulli_word(aux, coin);
+      const std::uint64_t k = binomial(reference, 64, p);
+      std::uint64_t expected = 0;
+      sampler.sample(64, k, reference, [&expected](std::uint64_t bit) {
+        expected |= std::uint64_t{1} << bit;
+      });
+      ASSERT_EQ(word, expected) << "p=" << p << " word " << i;
+      ASSERT_EQ(aux.state(), reference.state()) << "p=" << p << " word " << i;
+    }
+    if (p == 0.0 || p == 1.0) {
+      EXPECT_EQ(aux.state(), fresh) << "p=" << p;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Golden digest matrix (kernel/2 schedule, scalar backend). The l values
 // cross the single-word boundary (64, 65); 65 exercises Floyd sampling with
 // l > 64 in without-replacement mode; n = 12345 spans four blocks with a
@@ -450,10 +502,38 @@ constexpr GoldenRow kGoldenRows[] = {
 // minority l=3 under noise + spontaneous flips + churn + zealots.
 constexpr std::uint64_t kGoldenFaultyWithReplacement = 0x56b37223908de90cull;
 constexpr std::uint64_t kGoldenFaultyDistinct = 0x4be7fad5ab2784afull;
+// Minority l=4 under heavy_fault_model(): long BINV walks, the mirrored
+// bias coin and the tie word between the masks.
+constexpr std::uint64_t kGoldenHeavyFaultyWithReplacement =
+    0xe5393c37414c2b62ull;
+constexpr std::uint64_t kGoldenHeavyFaultyDistinct = 0x34ca371b91f4d57cull;
 
 ShardedAgentEngine::Sampling sampling_for(bool distinct) {
   return distinct ? ShardedAgentEngine::Sampling::kWithoutReplacement
                   : ShardedAgentEngine::Sampling::kWithReplacement;
+}
+
+// Every pinned faulty digest of `backend`, with the row named on failure.
+void expect_faulty_goldens(Backend backend) {
+  const MinorityDynamics minority(3);
+  const MinorityDynamics minority4(4);
+  const std::uint64_t got[4] = {
+      run_digest(minority, backend, sampling_for(false), kGoldenN, true),
+      run_digest(minority, backend, sampling_for(true), kGoldenN, true),
+      run_digest(minority4, backend, sampling_for(false), kGoldenN, true,
+                 /*rounds=*/10, /*seed=*/99, heavy_fault_model()),
+      run_digest(minority4, backend, sampling_for(true), kGoldenN, true,
+                 /*rounds=*/10, /*seed=*/99, heavy_fault_model())};
+  const std::uint64_t want[4] = {
+      kGoldenFaultyWithReplacement, kGoldenFaultyDistinct,
+      kGoldenHeavyFaultyWithReplacement, kGoldenHeavyFaultyDistinct};
+  const char* names[4] = {"faulty", "faulty distinct", "heavy faulty",
+                          "heavy faulty distinct"};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got[i], want[i])
+        << kernel::backend_name(backend) << " " << names[i] << " computed 0x"
+        << std::hex << std::setw(16) << std::setfill('0') << got[i];
+  }
 }
 
 TEST(KernelGolden, ScalarDigestMatrixMatchesPinnedValues) {
@@ -477,13 +557,7 @@ TEST(KernelGolden, ScalarDigestMatrixMatchesPinnedValues) {
 }
 
 TEST(KernelGolden, ScalarFaultyDigestsMatchPinnedValues) {
-  const MinorityDynamics minority(3);
-  EXPECT_EQ(run_digest(minority, Backend::kScalarWord, sampling_for(false),
-                       kGoldenN, true),
-            kGoldenFaultyWithReplacement);
-  EXPECT_EQ(run_digest(minority, Backend::kScalarWord, sampling_for(true),
-                       kGoldenN, true),
-            kGoldenFaultyDistinct);
+  expect_faulty_goldens(Backend::kScalarWord);
 }
 
 TEST(KernelGolden, SimdBackendsMatchScalarOnTheFullMatrix) {
@@ -507,15 +581,7 @@ TEST(KernelGolden, SimdBackendsMatchScalarOnTheFullMatrix) {
           << kernel::backend_name(backend) << " voter l=" << row.ell
           << " distinct=" << row.distinct;
     }
-    const MinorityDynamics minority(3);
-    EXPECT_EQ(run_digest(minority, backend, sampling_for(false), kGoldenN,
-                         true),
-              kGoldenFaultyWithReplacement)
-        << kernel::backend_name(backend);
-    EXPECT_EQ(
-        run_digest(minority, backend, sampling_for(true), kGoldenN, true),
-        kGoldenFaultyDistinct)
-        << kernel::backend_name(backend);
+    expect_faulty_goldens(backend);
   }
 }
 

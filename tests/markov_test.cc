@@ -137,6 +137,32 @@ TEST(Absorption, HandComputedTwoStateChain) {
   EXPECT_DOUBLE_EQ(times[1], 0.0);
 }
 
+TEST(Absorption, StatesNotSurelyAbsorbedGetInfiniteTimes) {
+  // States {0, 1, 2, 3}; 0 absorbing; 3 a trap (stays forever); from 1:
+  // absorb or stay, 1/2 each; from 2: absorb or fall into the trap. Only 1
+  // is absorbed with probability 1, and its time is solved as if 2 and 3
+  // were not there.
+  const auto times = expected_hitting_rounds(
+      4,
+      [](std::size_t s) {
+        switch (s) {
+          case 1:
+            return std::vector<double>{0.5, 0.5, 0.0, 0.0};
+          case 2:
+            return std::vector<double>{0.5, 0.0, 0.0, 0.5};
+          case 3:
+            return std::vector<double>{0.0, 0.0, 0.0, 1.0};
+          default:
+            return std::vector<double>{1.0, 0.0, 0.0, 0.0};
+        }
+      },
+      {true, false, false, false});
+  EXPECT_DOUBLE_EQ(times[0], 0.0);
+  EXPECT_NEAR(times[1], 2.0, 1e-12);
+  EXPECT_TRUE(std::isinf(times[2]));
+  EXPECT_TRUE(std::isinf(times[3]));
+}
+
 TEST(Absorption, GamblersRuinLadder) {
   // States 0..3, 3 absorbing, deterministic +1 moves: t(x) = 3 - x.
   const auto times = expected_hitting_rounds(

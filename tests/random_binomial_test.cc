@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -177,6 +179,88 @@ TEST(BinomialSampler, IsDeterministicGivenSeed) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(binomial(a, 1000, 0.3), binomial(b, 1000, 0.3));
   }
+}
+
+// BINV as a self-contained per-call walk (q^n and the pmf recurrence
+// recomputed on every call): the slow oracle for the walk that binomial()
+// and BinomialTable share.
+std::uint64_t reference_binv(Rng& rng, std::uint64_t n, double p) {
+  const double q = 1.0 - p;
+  const double s = p / q;
+  const double a = static_cast<double>(n + 1) * s;
+  while (true) {
+    double r = std::exp(static_cast<double>(n) * std::log1p(-p));
+    double u = rng.next_double();
+    std::uint64_t x = 0;
+    bool done = false;
+    while (x <= n) {
+      if (u <= r) {
+        done = true;
+        break;
+      }
+      u -= r;
+      ++x;
+      r *= a / static_cast<double>(x) - s;
+      if (r <= 0.0) break;
+    }
+    if (done) return std::min(x, n);
+  }
+}
+
+std::uint64_t reference_binomial(Rng& rng, std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - reference_binomial(rng, n, 1.0 - p);
+  if (static_cast<double>(n) * p < binomial_detail::kInversionThreshold) {
+    return reference_binv(rng, n, p);
+  }
+  return binomial_detail::btrs(rng, n, p);
+}
+
+TEST(BinomialTable, DrawsEqualBinomialDrawForDraw) {
+  // Every regime: a BINV walk near 0, walks past the table's prefix (n p
+  // just under the threshold), the BINV/BTRS boundary (64 * 10/64 = 10),
+  // BTRS, p = 1/2 and the p > 1/2 mirror into each of them.
+  const double kPs[] = {0.0, 1e-9, 0.01, 0.15, 10.0 / 64, 0.3,
+                        0.5, 0.9, 0.999, 1.0};
+  for (const std::uint64_t n : {1u, 64u, 1000u}) {
+    const double long_walk = 9.9 / static_cast<double>(n);
+    std::vector<double> ps(std::begin(kPs), std::end(kPs));
+    ps.push_back(long_walk);
+    for (const double p : ps) {
+      const BinomialTable table(n, p);
+      Rng a(0x7ab1e + n);
+      Rng b(0x7ab1e + n);
+      Rng c(0x7ab1e + n);
+      const auto fresh = a.state();
+      int past_prefix = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t k = table.draw(a);
+        ASSERT_EQ(k, binomial(b, n, p)) << "n=" << n << " p=" << p;
+        ASSERT_EQ(k, reference_binomial(c, n, p)) << "n=" << n << " p=" << p;
+        ASSERT_EQ(a.state(), b.state()) << "n=" << n << " p=" << p;
+        ASSERT_EQ(a.state(), c.state()) << "n=" << n << " p=" << p;
+        const std::uint64_t walked = p > 0.5 ? n - k : k;
+        past_prefix += walked >= BinomialTable::kPrefix ? 1 : 0;
+      }
+      if (p <= 0.0 || p >= 1.0) {
+        EXPECT_EQ(a.state(), fresh) << "n=" << n << " p=" << p;
+      }
+      if (n >= 64 && p == long_walk) {
+        // The continuation past the prefix is exercised, not just legal.
+        EXPECT_GT(past_prefix, 100) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(BinomialTable, DefaultIsBinomialOfZero) {
+  const BinomialTable table;
+  Rng rng(5);
+  const auto fresh = rng.state();
+  EXPECT_EQ(table.draw(rng), 0u);
+  EXPECT_EQ(rng.state(), fresh);
+  EXPECT_EQ(table.p(), 0.0);
 }
 
 }  // namespace
