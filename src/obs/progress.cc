@@ -1,6 +1,8 @@
 #include "obs/progress.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "faults/session.h"
 #include "snapshot/checkpoint.h"
@@ -92,41 +94,50 @@ void ProgressBoard::release(std::size_t slot,
   slots_[slot].busy.store(false, std::memory_order_release);
 }
 
+bool ProgressBoard::try_read(const Slot& s, ProgressRecord& r) noexcept {
+  const std::uint32_t before = s.seq.load(std::memory_order_acquire);
+  if (before & 1u) return false;  // Publish in flight.
+  r.active = s.active.load(std::memory_order_relaxed);
+  r.faulty = s.faulty.load(std::memory_order_relaxed);
+  r.engine = s.engine.load(std::memory_order_relaxed);
+  r.run_ordinal = s.run_ordinal.load(std::memory_order_relaxed);
+  r.round = s.round.load(std::memory_order_relaxed);
+  r.max_rounds = s.max_rounds.load(std::memory_order_relaxed);
+  r.ones = s.ones.load(std::memory_order_relaxed);
+  r.n = s.n.load(std::memory_order_relaxed);
+  r.rounds_per_sec = s.rounds_per_sec.load(std::memory_order_relaxed);
+  r.drift_per_round = s.drift_per_round.load(std::memory_order_relaxed);
+  r.eta_seconds = s.eta_seconds.load(std::memory_order_relaxed);
+  r.fault_flips = s.fault_flips.load(std::memory_order_relaxed);
+  r.recovery_segments = s.recovery_segments.load(std::memory_order_relaxed);
+  r.checkpoint_slot = s.checkpoint_slot.load(std::memory_order_relaxed);
+  r.start_ns = s.start_ns.load(std::memory_order_relaxed);
+  r.publish_ns = s.publish_ns.load(std::memory_order_relaxed);
+  return s.seq.load(std::memory_order_acquire) == before;
+}
+
 std::vector<ProgressRecord> ProgressBoard::read() const {
   std::vector<ProgressRecord> out;
   for (const Slot& s : slots_) {
     ProgressRecord r;
+    // A publish is a few dozen stores, so one attempt nearly always lands
+    // between publishes. But a writer descheduled between its two seq
+    // stores keeps the seq odd for a whole time slice, and spinning through
+    // that would drop a live run. So after a short spin the reader yields
+    // between attempts, and gives up only after kReadBudget of wall time.
     bool consistent = false;
-    // 1024 attempts: a real RunProgressScope publishes ~10x/sec, so one
-    // attempt nearly always suffices; the headroom covers a writer that is
-    // mid-publish on every early attempt.
-    for (int attempt = 0; attempt < 1024; ++attempt) {
-      const std::uint32_t before = s.seq.load(std::memory_order_acquire);
-      if (before & 1u) continue;  // Publish in flight; retry.
-      r.active = s.active.load(std::memory_order_relaxed);
-      r.faulty = s.faulty.load(std::memory_order_relaxed);
-      r.engine = s.engine.load(std::memory_order_relaxed);
-      r.run_ordinal = s.run_ordinal.load(std::memory_order_relaxed);
-      r.round = s.round.load(std::memory_order_relaxed);
-      r.max_rounds = s.max_rounds.load(std::memory_order_relaxed);
-      r.ones = s.ones.load(std::memory_order_relaxed);
-      r.n = s.n.load(std::memory_order_relaxed);
-      r.rounds_per_sec = s.rounds_per_sec.load(std::memory_order_relaxed);
-      r.drift_per_round = s.drift_per_round.load(std::memory_order_relaxed);
-      r.eta_seconds = s.eta_seconds.load(std::memory_order_relaxed);
-      r.fault_flips = s.fault_flips.load(std::memory_order_relaxed);
-      r.recovery_segments =
-          s.recovery_segments.load(std::memory_order_relaxed);
-      r.checkpoint_slot = s.checkpoint_slot.load(std::memory_order_relaxed);
-      r.start_ns = s.start_ns.load(std::memory_order_relaxed);
-      r.publish_ns = s.publish_ns.load(std::memory_order_relaxed);
-      const std::uint32_t after = s.seq.load(std::memory_order_acquire);
-      if (before == after) {
-        consistent = true;
+    std::chrono::steady_clock::time_point deadline{};
+    for (int attempt = 0; !(consistent = try_read(s, r)); ++attempt) {
+      if (attempt < kSpinAttempts) continue;
+      const auto now = std::chrono::steady_clock::now();
+      if (attempt == kSpinAttempts) {
+        deadline = now + kReadBudget;
+      } else if (now >= deadline) {
         break;
       }
+      std::this_thread::yield();
     }
-    // A slot whose writer outran every attempt is dropped rather than
+    // A slot whose writer outlasted the budget is dropped rather than
     // reported torn; the next scrape picks it up.
     if (consistent && r.publish_ns != 0) out.push_back(r);
   }

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -117,7 +118,15 @@ class ProgressBoard {
     std::atomic<std::uint64_t> publish_ns{0};
   };
 
+  // read()'s retry policy: spin this many attempts, then yield between
+  // attempts until the budget (a few scheduler time slices) runs out.
+  static constexpr int kSpinAttempts = 64;
+  static constexpr std::chrono::milliseconds kReadBudget{20};
+
   void store_fields(Slot& s, const ProgressRecord& r, bool active) noexcept;
+  // One seqlock attempt: copies the slot into `r` and returns true when no
+  // publish overlapped the copy.
+  static bool try_read(const Slot& s, ProgressRecord& r) noexcept;
 
   std::array<Slot, kSlots> slots_;
   std::atomic<std::uint64_t> started_{0};

@@ -57,40 +57,86 @@ void Topology::finalize_degrees() noexcept {
   if (n_ == 0) min_degree_ = 0;
 }
 
-Topology Topology::from_edges(
-    GraphKind kind, std::uint64_t n,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  assert(n <= kMaxStructuredAgents);
+Topology Topology::from_lower_rows(GraphKind kind, std::uint64_t n,
+                                   const LowerRows& rows) {
+  assert(n <= kMaxStructuredAgents && rows.count.size() == n);
   Topology topo;
   topo.kind_ = kind;
   topo.n_ = n;
-  std::vector<std::uint64_t> degree(n, 0);
-  for (const auto& [u, v] : edges) {
-    assert(u < n && v < n && u != v);
-    ++degree[u];
-    ++degree[v];
+  const std::uint32_t* lower = rows.neighbors.data();
+  const std::uint64_t edges = rows.neighbors.size();
+  // Degrees, two slots up: deg(v) accumulates in offsets_[v + 2], so the
+  // prefix sum leaves row v's start in offsets_[v + 1]. deg(n - 1) is never
+  // needed, and an upper neighbour w < v <= n - 1 always has a slot.
+  std::vector<std::uint64_t>& offsets = topo.offsets_;
+  offsets.assign(n + 1, 0);
+  std::uint64_t k = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t end = k + rows.count[v];
+    assert(end <= edges);
+    for (; k < end; ++k) {
+      assert(lower[k] < v);
+      assert(k + rows.count[v] == end || lower[k - 1] < lower[k]);
+      ++offsets[lower[k] + 2];
+    }
+    if (v + 2 <= n) offsets[v + 2] += rows.count[v];
   }
-  topo.offsets_.assign(n + 1, 0);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    topo.offsets_[i + 1] = topo.offsets_[i] + degree[i];
-  }
-  topo.adjacency_.resize(topo.offsets_[n]);
-  std::vector<std::uint64_t> cursor(topo.offsets_.begin(),
-                                    topo.offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    topo.adjacency_[cursor[u]++] = v;
-    topo.adjacency_[cursor[v]++] = u;
-  }
-  // Sorted rows make the CSR a canonical byte representation of the graph:
-  // identical edge sets always serialize (and digest) identically.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::sort(topo.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(topo.offsets_[i]),
-              topo.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(topo.offsets_[i + 1]));
+  assert(k == edges);
+  for (std::uint64_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+
+  // One v-ascending pass. Row v's lower run lands first, already ascending;
+  // every later u > v then appends u to row v in ascending order, so each
+  // row comes out sorted with no sort (sorted rows make the CSR a canonical
+  // byte form: one edge set, one digest). offsets_[v + 1] is row v's
+  // insertion cursor and ends as its final offset. The scattered writes
+  // are prefetched a fixed distance ahead, their targets read from the
+  // lower list.
+  constexpr std::uint64_t kPrefetchAhead = 32;
+  topo.adjacency_.resize(2 * edges);
+  std::uint32_t* adjacency = topo.adjacency_.data();
+  std::uint64_t* cursor = offsets.data() + 1;
+  k = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t end = k + rows.count[v];
+    std::copy(lower + k, lower + end, adjacency + cursor[v]);
+    cursor[v] += rows.count[v];
+    for (; k < end; ++k) {
+      const std::uint64_t ahead = std::min(k + kPrefetchAhead, edges - 1);
+      __builtin_prefetch(adjacency + cursor[lower[ahead]], 1);
+      adjacency[cursor[lower[k]]++] = static_cast<std::uint32_t>(v);
+    }
   }
   topo.finalize_degrees();
   return topo;
+}
+
+Topology Topology::from_edges(
+    GraphKind kind, std::uint64_t n,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
+  // Bucket each pair under its larger endpoint, filling every bucket from
+  // its back, then sort the (short) buckets into lower rows.
+  LowerRows rows;
+  rows.count.assign(n, 0);
+  for (const auto& [u, v] : edges) {
+    assert(u < n && v < n);
+    ++rows.count[std::max(u, v)];
+  }
+  std::vector<std::uint64_t> start(n);
+  std::uint64_t total = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    total += rows.count[v];
+    start[v] = total;
+  }
+  rows.neighbors.resize(edges.size());
+  for (const auto& [u, v] : edges) {
+    rows.neighbors[--start[std::max(u, v)]] = std::min(u, v);
+  }
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const auto row = rows.neighbors.begin() +
+                     static_cast<std::ptrdiff_t>(start[v]);
+    std::sort(row, row + rows.count[v]);
+  }
+  return from_lower_rows(kind, n, rows);
 }
 
 Topology Topology::complete(std::uint64_t n) {
@@ -199,15 +245,28 @@ Topology Topology::erdos_renyi(std::uint64_t n, double p,
   assert(n >= 2 && n <= kMaxStructuredAgents);
   assert(p > 0.0 && p <= 1.0);
   Rng rng = generator_stream(GraphKind::kErdosRenyi, seed);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  // Both branches emit each edge once as (v, w) with w < v, v non-decreasing
+  // and w ascending within v: row v's lower neighbours, in order, which is
+  // the builder's input as it stands.
+  LowerRows rows;
+  rows.count.assign(n, 0);
+  const double pairs = 0.5 * static_cast<double>(n) *
+                       static_cast<double>(n - 1);
   if (p >= 1.0) {
+    rows.neighbors.reserve(static_cast<std::size_t>(pairs));
     for (std::uint64_t v = 1; v < n; ++v) {
+      rows.count[v] = static_cast<std::uint32_t>(v);
       for (std::uint64_t w = 0; w < v; ++w) {
-        edges.emplace_back(static_cast<std::uint32_t>(v),
-                           static_cast<std::uint32_t>(w));
+        rows.neighbors.push_back(static_cast<std::uint32_t>(w));
       }
     }
   } else {
+    // Room for the mean edge count plus eight standard deviations, so the
+    // list almost never regrows; the capacity beyond the edges drawn is
+    // never touched.
+    const double mean = pairs * p;
+    rows.neighbors.reserve(static_cast<std::size_t>(std::min(
+        pairs, mean + 8.0 * std::sqrt(mean * (1.0 - p)) + 16.0)));
     // Batagelj–Brandes: walk the C(n,2) pair space in geometric jumps of
     // law Geom(p), touching only realized edges.
     const double log_q = std::log1p(-p);
@@ -222,12 +281,12 @@ Topology Topology::erdos_renyi(std::uint64_t n, double p,
         ++v;
       }
       if (v < static_cast<std::int64_t>(n)) {
-        edges.emplace_back(static_cast<std::uint32_t>(v),
-                           static_cast<std::uint32_t>(w));
+        ++rows.count[static_cast<std::uint64_t>(v)];
+        rows.neighbors.push_back(static_cast<std::uint32_t>(w));
       }
     }
   }
-  Topology topo = from_edges(GraphKind::kErdosRenyi, n, edges);
+  Topology topo = from_lower_rows(GraphKind::kErdosRenyi, n, rows);
   topo.seed_ = seed;
   topo.prob_ = p;
   return topo;
@@ -238,14 +297,23 @@ Topology Topology::barabasi_albert(std::uint64_t n, std::uint32_t m,
   assert(m >= 1 && n > static_cast<std::uint64_t>(m) + 1);
   assert(n <= kMaxStructuredAgents);
   Rng rng = generator_stream(GraphKind::kBarabasiAlbert, seed);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  // Every node's edges to earlier nodes are drawn together, so the
+  // generator emits lower rows directly: the seed clique's rows in order,
+  // then each new node's sorted targets.
+  const std::uint64_t edges =
+      static_cast<std::uint64_t>(m + 1) * m / 2 + (n - m - 1) * m;
+  LowerRows rows;
+  rows.count.assign(n, m);
+  rows.neighbors.reserve(edges);
   // Degree-proportional sampling via the repeated-endpoint list: every edge
   // contributes both endpoints, so a uniform draw from `targets` IS a
   // degree-weighted draw.
   std::vector<std::uint32_t> targets;
+  targets.reserve(2 * edges);
   for (std::uint32_t u = 0; u <= m; ++u) {
+    rows.count[u] = u;
     for (std::uint32_t v = 0; v < u; ++v) {
-      edges.emplace_back(u, v);
+      rows.neighbors.push_back(v);
       targets.push_back(u);
       targets.push_back(v);
     }
@@ -261,12 +329,13 @@ Topology Topology::barabasi_albert(std::uint64_t n, std::uint32_t m,
       }
     }
     for (const std::uint32_t t : chosen) {
-      edges.emplace_back(static_cast<std::uint32_t>(v), t);
       targets.push_back(static_cast<std::uint32_t>(v));
       targets.push_back(t);
     }
+    std::sort(chosen.begin(), chosen.end());
+    rows.neighbors.insert(rows.neighbors.end(), chosen.begin(), chosen.end());
   }
-  Topology topo = from_edges(GraphKind::kBarabasiAlbert, n, edges);
+  Topology topo = from_lower_rows(GraphKind::kBarabasiAlbert, n, rows);
   topo.seed_ = seed;
   topo.param_ = m;
   return topo;

@@ -196,8 +196,25 @@ class Topology {
   }
 
  private:
-  // Builds the CSR from an undirected edge list (sorted rows, validated
-  // simple) and precomputes degree bounds.
+  // The CSR builder's input: each undirected edge once, in the row of its
+  // larger endpoint. Row v holds v's neighbours below v, strictly
+  // ascending; rows are concatenated in v order and count[v] is row v's
+  // length.
+  struct LowerRows {
+    std::vector<std::uint32_t> count;
+    std::vector<std::uint32_t> neighbors;
+  };
+  // The one CSR builder. It counts degrees, copies each lower row into
+  // place, then appends every upper neighbour in one v-ascending transpose,
+  // so each row comes out sorted (its lower run, then its upper neighbours)
+  // with no sort. Asserts that every lower row is strictly ascending and
+  // below its row index, which rejects self-loops, duplicate edges and
+  // out-of-order rows. Precomputes degree bounds.
+  static Topology from_lower_rows(GraphKind kind, std::uint64_t n,
+                                  const LowerRows& rows);
+  // Adapter for generators that emit edges in no particular order: buckets
+  // each pair under its larger endpoint, sorts each bucket into a lower row
+  // and hands the rows to from_lower_rows (and so to its checks).
   static Topology from_edges(GraphKind kind, std::uint64_t n,
                              const std::vector<std::pair<std::uint32_t,
                                                          std::uint32_t>>&

@@ -657,6 +657,7 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   const telemetry::SinkScope scope({.progress = &board});
   const std::size_t slot = board.claim("sharded.faulty", 1u << 20, 64, true, 0);
   std::atomic<bool> stop{false};
+  std::atomic<bool> published{false};
   std::thread writer([&] {
     obs::ProgressRecord record;
     record.active = true;
@@ -668,6 +669,7 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
       record.ones = round % 65;
       record.publish_ns = round;
       board.publish(slot, record);
+      published.store(true);
       // ~20k publishes/sec — three orders of magnitude hotter than the
       // ~10/sec a real RunProgressScope emits, while still leaving even-seq
       // windows a scraper can land in. A zero-delay loop would keep the
@@ -675,6 +677,11 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   });
+  // The claim stamps publish_ns = 0, which the board reads as "never
+  // published", so the run only shows once the writer thread has published.
+  // Scraping before that (a loaded host can start the thread late) would
+  // test nothing but thread start-up.
+  while (!published.load()) std::this_thread::yield();
   for (int scrape = 0; scrape < 5; ++scrape) {
     const std::string text = http_get(server_->port(), "/metrics");
     const auto samples = parse_exposition(text);

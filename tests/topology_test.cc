@@ -1,20 +1,25 @@
 // The Topology subsystem: generator shape laws (ring/torus/d-regular/ER/BA),
 // CSR invariants (sorted simple rows), seeded determinism — including
 // byte-identical CSRs when several threads build the same graph
-// concurrently — identity digests (cached once, carried by copies and
-// moves, agreed on by concurrent first callers), the partition-cut report,
-// and the sampling seam's edge cases at ell in {degree-1, degree}.
+// concurrently — identity digests (pinned per generator, cached once,
+// carried by copies and moves, agreed on by concurrent first callers), the
+// lower-row CSR builder against a pair-list reference, the partition-cut
+// report, and the sampling seam's edge cases at ell in {degree-1, degree}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "random/rng.h"
+#include "random/seeding.h"
 #include "sim/parallel.h"
 #include "topology/topology.h"
 
@@ -286,6 +291,261 @@ TEST(Topology, ConcurrentFirstDigestCallsAgree) {
                 reference_digest(graphs[g]))
           << "worker " << worker << " graph " << g;
     }
+  }
+}
+
+TEST(Topology, IdentityDigestsArePinnedPerGenerator) {
+  // Values taken from the pair-list CSR builder that the lower-row builder
+  // replaced: a change to any generator's draws, to its edge set or to the
+  // CSR layout moves them.
+  EXPECT_EQ(Topology::ring(12345).identity_digest(), 0xe5c7a2d2de3cb6afull);
+  EXPECT_EQ(Topology::torus(111, 2).identity_digest(), 0xf2104c8a272a9c46ull);
+  EXPECT_EQ(Topology::torus(3, 3).identity_digest(), 0x81226c26d8c22ff4ull);
+  EXPECT_EQ(Topology::random_regular(12346, 6, 21).identity_digest(),
+            0x53a616fca3e45acaull);
+  EXPECT_EQ(Topology::barabasi_albert(12345, 3, 23).identity_digest(),
+            0xe99c5d11acfdde0dull);
+  EXPECT_EQ(Topology::erdos_renyi(12345, 20.0 / 12345, 22).identity_digest(),
+            0xdf2cc8842995f6deull);
+  EXPECT_EQ(Topology::erdos_renyi(1u << 16, 16.0 / (1u << 16), 203)
+                .identity_digest(),
+            0xd48014909ee063a3ull);
+  EXPECT_EQ(Topology::erdos_renyi(300, 1.0, 1).identity_digest(),
+            0x2b3d465dcd7d29fcull);
+}
+
+// --- The CSR builder against a pair-list reference ------------------------
+//
+// Each generator's edge list as a pair-list builder receives it, drawn from
+// the generator's own SeedSequence stream, and the reference CSR built from
+// it the plain way: fill both endpoints' rows in list order, then sort each
+// row. The library builds from lower rows with no sort; the two must agree
+// byte for byte.
+
+using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+Rng generator_stream(GraphKind kind, std::uint64_t seed) {
+  constexpr std::uint64_t kTopologyPhase = 0x746f706f;  // "topo"
+  return SeedSequence(seed).stream(static_cast<std::uint64_t>(kind), 0,
+                                   kTopologyPhase);
+}
+
+EdgeList ring_edges(std::uint64_t n) {
+  EdgeList edges;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    edges.emplace_back(static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>((i + 1) % n));
+  }
+  return edges;
+}
+
+EdgeList torus_edges(std::uint32_t side, std::uint32_t dims) {
+  std::uint64_t n = 1;
+  for (std::uint32_t d = 0; d < dims; ++d) n *= side;
+  EdgeList edges;
+  std::uint64_t stride = 1;
+  for (std::uint32_t d = 0; d < dims; ++d) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t coord = (i / stride) % side;
+      const std::uint64_t up =
+          coord + 1 == side ? i - coord * stride : i + stride;
+      edges.emplace_back(static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(up));
+    }
+    stride *= side;
+  }
+  return edges;
+}
+
+EdgeList random_regular_edges(std::uint64_t n, std::uint32_t degree,
+                              std::uint64_t seed) {
+  Rng rng = generator_stream(GraphKind::kRandomRegular, seed);
+  const std::uint64_t stub_count = n * degree;
+  std::vector<std::uint32_t> stubs(stub_count);
+  EdgeList pairs(stub_count / 2);
+  while (true) {
+    for (std::uint64_t k = 0; k < stub_count; ++k) {
+      stubs[k] = static_cast<std::uint32_t>(k / degree);
+    }
+    for (std::uint64_t k = stub_count - 1; k > 0; --k) {
+      std::swap(stubs[k], stubs[rng.next_below(k + 1)]);
+    }
+    for (std::uint64_t e = 0; e < pairs.size(); ++e) {
+      pairs[e] = {stubs[2 * e], stubs[2 * e + 1]};
+    }
+    for (int pass = 0; pass < 200; ++pass) {
+      std::unordered_set<std::uint64_t> seen;
+      std::vector<std::uint64_t> bad;
+      for (std::uint64_t e = 0; e < pairs.size(); ++e) {
+        const auto [u, v] = pairs[e];
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(std::min(u, v)) << 32) |
+            std::max(u, v);
+        if (u == v || !seen.insert(key).second) bad.push_back(e);
+      }
+      if (bad.empty()) return pairs;
+      for (const std::uint64_t e : bad) {
+        const std::uint64_t other = rng.next_below(pairs.size());
+        std::swap(pairs[e].second, pairs[other].second);
+      }
+    }
+  }
+}
+
+EdgeList erdos_renyi_edges(std::uint64_t n, double p, std::uint64_t seed) {
+  Rng rng = generator_stream(GraphKind::kErdosRenyi, seed);
+  EdgeList edges;
+  if (p >= 1.0) {
+    for (std::uint64_t v = 1; v < n; ++v) {
+      for (std::uint64_t w = 0; w < v; ++w) {
+        edges.emplace_back(static_cast<std::uint32_t>(v),
+                           static_cast<std::uint32_t>(w));
+      }
+    }
+    return edges;
+  }
+  edges.reserve(static_cast<std::size_t>(1.1 * p * static_cast<double>(n) *
+                                         static_cast<double>(n - 1) / 2));
+  const double log_q = std::log1p(-p);
+  std::int64_t v = 1;
+  std::int64_t w = -1;
+  while (v < static_cast<std::int64_t>(n)) {
+    const double r = rng.next_double();
+    w += 1 + static_cast<std::int64_t>(std::floor(std::log1p(-r) / log_q));
+    while (w >= v && v < static_cast<std::int64_t>(n)) {
+      w -= v;
+      ++v;
+    }
+    if (v < static_cast<std::int64_t>(n)) {
+      edges.emplace_back(static_cast<std::uint32_t>(v),
+                         static_cast<std::uint32_t>(w));
+    }
+  }
+  return edges;
+}
+
+EdgeList barabasi_albert_edges(std::uint64_t n, std::uint32_t m,
+                               std::uint64_t seed) {
+  Rng rng = generator_stream(GraphKind::kBarabasiAlbert, seed);
+  EdgeList edges;
+  std::vector<std::uint32_t> targets;
+  for (std::uint32_t u = 0; u <= m; ++u) {
+    for (std::uint32_t v = 0; v < u; ++v) {
+      edges.emplace_back(u, v);
+      targets.push_back(u);
+      targets.push_back(v);
+    }
+  }
+  std::vector<std::uint32_t> chosen;
+  for (std::uint64_t v = m + 1; v < n; ++v) {
+    chosen.clear();
+    while (chosen.size() < m) {
+      const std::uint32_t t = targets[rng.next_below(targets.size())];
+      if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
+        chosen.push_back(t);
+      }
+    }
+    for (const std::uint32_t t : chosen) {
+      edges.emplace_back(static_cast<std::uint32_t>(v), t);
+      targets.push_back(static_cast<std::uint32_t>(v));
+      targets.push_back(t);
+    }
+  }
+  return edges;
+}
+
+struct Csr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint32_t> adjacency;
+};
+
+Csr reference_csr(std::uint64_t n, const EdgeList& edges) {
+  Csr csr;
+  csr.offsets.assign(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++csr.offsets[u + 1];
+    ++csr.offsets[v + 1];
+  }
+  for (std::uint64_t i = 0; i < n; ++i) csr.offsets[i + 1] += csr.offsets[i];
+  csr.adjacency.resize(csr.offsets[n]);
+  std::vector<std::uint64_t> cursor(csr.offsets.begin(),
+                                    csr.offsets.end() - 1);
+  for (const auto& [u, v] : edges) {
+    csr.adjacency[cursor[u]++] = v;
+    csr.adjacency[cursor[v]++] = u;
+  }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto row = csr.adjacency.begin();
+    std::sort(row + static_cast<std::ptrdiff_t>(csr.offsets[i]),
+              row + static_cast<std::ptrdiff_t>(csr.offsets[i + 1]));
+  }
+  return csr;
+}
+
+// EXPECT_TRUE on ==, not EXPECT_EQ: a mismatch must not print 10^7 ids.
+void expect_matches_reference(const Topology& topo, const EdgeList& edges) {
+  const Csr reference = reference_csr(topo.size(), edges);
+  EXPECT_TRUE(topo.offsets() == reference.offsets) << topo.describe();
+  EXPECT_TRUE(topo.adjacency() == reference.adjacency) << topo.describe();
+}
+
+TEST(Topology, ErdosRenyiMatchesThePairListReference) {
+  // Isolated vertices (p = 1e-4), a near-complete walk (p = 0.999) and the
+  // p = 1 branch, from n = 2 up. At n = 4097 the near-complete cases have
+  // 8.4M edges, walked twice and built twice, so the grid runs on five
+  // threads: one per seed for p < 1, and one for p = 1, which draws nothing
+  // from the stream and so builds the same graph for every seed. Each
+  // reference is built before the graph and its edge list freed first, so a
+  // thread holds two large arrays at a time.
+  struct Job {
+    std::uint64_t seed;
+    std::vector<double> probabilities;
+  };
+  const std::vector<Job> jobs = {{1, {1e-4, 0.01, 0.2, 0.999}},
+                                 {2, {1e-4, 0.01, 0.2, 0.999}},
+                                 {3, {1e-4, 0.01, 0.2, 0.999}},
+                                 {4, {1e-4, 0.01, 0.2, 0.999}},
+                                 {1, {1.0}}};
+  std::vector<std::vector<std::string>> mismatches(jobs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    threads.emplace_back([&job = jobs[j], &out = mismatches[j]] {
+      for (const std::uint64_t n : {2u, 3u, 17u, 1000u, 4097u}) {
+        for (const double p : job.probabilities) {
+          const Csr reference =
+              reference_csr(n, erdos_renyi_edges(n, p, job.seed));
+          const Topology topo = Topology::erdos_renyi(n, p, job.seed);
+          if (topo.offsets() != reference.offsets ||
+              topo.adjacency() != reference.adjacency) {
+            out.push_back(topo.describe());
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& job_mismatches : mismatches) {
+    EXPECT_EQ(job_mismatches, std::vector<std::string>{});
+  }
+}
+
+TEST(Topology, StructuredAndSeededGeneratorsMatchThePairListReference) {
+  for (const std::uint64_t n : {3u, 4u, 1000u}) {
+    expect_matches_reference(Topology::ring(n), ring_edges(n));
+  }
+  for (const auto& [side, dims] : {std::pair{3u, 1u}, std::pair{3u, 3u}}) {
+    expect_matches_reference(Topology::torus(side, dims),
+                             torus_edges(side, dims));
+  }
+  for (const auto& [n, d, seed] :
+       {std::tuple{300u, 5u, 41u}, std::tuple{4096u, 8u, 7u}}) {
+    expect_matches_reference(Topology::random_regular(n, d, seed),
+                             random_regular_edges(n, d, seed));
+  }
+  for (const auto& [n, m, seed] :
+       {std::tuple{300u, 3u, 43u}, std::tuple{4096u, 4u, 9u}}) {
+    expect_matches_reference(Topology::barabasi_albert(n, m, seed),
+                             barabasi_albert_edges(n, m, seed));
   }
 }
 
