@@ -107,7 +107,7 @@ BENCHMARK(BM_ShardedStepMinority3)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 20);
 // Per-kernel-backend rows on the same workload as BM_ShardedStepMinority3:
 // the legacy per-agent loop vs the portable scalar-word bitslice kernel vs
 // the SIMD backends. The label reports the backend that actually ran, so on
-// a host without AVX2/NEON the avx2/neon rows show their scalar fallback.
+// a host without AVX2/AVX-512F/NEON those rows show their scalar fallback.
 void BM_ShardedStepKernelBackend(benchmark::State& state,
                                  kernel::Backend backend) {
   const MinorityDynamics minority(3);
@@ -140,6 +140,10 @@ BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, scalar,
     ->Arg(1 << 14)
     ->Arg(1 << 17);
 BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, avx2, kernel::Backend::kAvx2)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17);
+BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, avx512,
+                  kernel::Backend::kAvx512)
     ->Arg(1 << 14)
     ->Arg(1 << 17);
 BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, neon, kernel::Backend::kNeon)

@@ -54,9 +54,11 @@ namespace bitspread {
 namespace kernel {
 
 // Internal backend entry points (defined in scalar.cc / avx2.cc / neon.cc;
-// the SIMD ones return nullptr when the build lacks the instruction set).
+// avx2.cc holds both x86 fillers; the SIMD ones return nullptr when the
+// build lacks the instruction set).
 BlockFn scalar_block_fn() noexcept;
 BlockFn avx2_block_fn() noexcept;
+BlockFn avx512_block_fn() noexcept;
 BlockFn neon_block_fn() noexcept;
 
 namespace detail {
@@ -77,8 +79,10 @@ inline std::uint64_t range_word(std::uint64_t base, std::uint64_t lo,
 // is exactly the law of 64 independent coins. The positions are Floyd's
 // k-subset of [0, 64) with the word as its membership set: the same
 // next_below(j + 1) draws and the same subset as FloydSampler::sample(64, k).
-inline std::uint64_t bernoulli_word(Rng& aux,
-                                    const BinomialTable& coin) noexcept {
+// Always inlined, like decide() below, so that avx2.cc (built -mavx2) never
+// emits an out-of-line copy the linker could keep for baseline callers.
+[[gnu::always_inline]] inline std::uint64_t bernoulli_word(
+    Rng& aux, const BinomialTable& coin) noexcept {
   const std::uint64_t k = coin.draw(aux);
   if (k == 0) return 0;
   if (k >= 64) return ~std::uint64_t{0};
@@ -122,8 +126,10 @@ inline std::uint64_t eq_mask(const BitCount& count, std::uint32_t k) noexcept {
 // The adoption word for agents whose own bit is `own`: 1 where g = 1, the
 // shared tie word where g = 1/2. One tie word serves every (own, k) class —
 // each agent sits in exactly one, so the masks are disjoint per bit.
-inline std::uint64_t decide(const BitCount& count, const CircuitTable& table,
-                            unsigned own, std::uint64_t tie) noexcept {
+[[gnu::always_inline]] inline std::uint64_t decide(const BitCount& count,
+                                                   const CircuitTable& table,
+                                                   unsigned own,
+                                                   std::uint64_t tie) noexcept {
   std::uint64_t acc = 0;
   for (const std::uint32_t k : table.ones_ks[own]) acc |= eq_mask(count, k);
   if (!table.half_ks[own].empty()) {
@@ -198,9 +204,9 @@ inline void draw_row(LaneRng& lanes, std::uint64_t* row) noexcept {
 using DrawRowFn = void (*)(LaneRng&, std::uint64_t*) noexcept;
 
 // The canonical with-replacement fill for one word (scalar and NEON
-// backends, and the AVX2 backend's fallback): per sample j and quartet q,
-// DrawRow draws one value from every lane, the row map turns the row into
-// 16 agents, and their plane bits are packed.
+// backends, and the x86 backends' wide-row fallback): per sample j and
+// quartet q, DrawRow draws one value from every lane, the row map turns the
+// row into 16 agents, and their plane bits are packed.
 template <typename Rows, DrawRowFn DrawRow = draw_row>
 void fill_lanes_canonical(const BlockArgs& a, const Rows& rows,
                           LaneRng& lanes, std::uint64_t* L) noexcept {

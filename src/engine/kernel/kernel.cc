@@ -18,6 +18,16 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
+// The AVX-512F filler runs inside the -mavx2 translation unit (its block
+// loop, CSR word set-up and redraw path are AVX2 code), so it needs both.
+bool cpu_has_avx512() noexcept {
+#if defined(BITSPREAD_KERNEL_HAVE_AVX512)
+  return cpu_has_avx2() && __builtin_cpu_supports("avx512f") != 0;
+#else
+  return false;
+#endif
+}
+
 bool build_has_neon() noexcept {
 #if defined(BITSPREAD_KERNEL_HAVE_NEON)
   return true;  // NEON is baseline on aarch64; no runtime probe needed.
@@ -27,6 +37,7 @@ bool build_has_neon() noexcept {
 }
 
 Backend detect_best() noexcept {
+  if (cpu_has_avx512()) return Backend::kAvx512;
   if (cpu_has_avx2()) return Backend::kAvx2;
   if (build_has_neon()) return Backend::kNeon;
   return Backend::kScalarWord;
@@ -71,11 +82,15 @@ Backend resolve_with(Backend requested, const char* env_kernel,
   if (backend == Backend::kAuto) backend = detect_best();
   // The CI portable-matrix switch demotes every SIMD choice, including
   // explicit ones — its whole point is to force the scalar path globally.
-  if (force_scalar &&
-      (backend == Backend::kAvx2 || backend == Backend::kNeon)) {
+  if (force_scalar && (backend == Backend::kAvx2 ||
+                       backend == Backend::kAvx512 ||
+                       backend == Backend::kNeon)) {
     backend = Backend::kScalarWord;
   }
   if (backend == Backend::kAvx2 && !cpu_has_avx2()) {
+    backend = Backend::kScalarWord;
+  }
+  if (backend == Backend::kAvx512 && !cpu_has_avx512()) {
     backend = Backend::kScalarWord;
   }
   if (backend == Backend::kNeon && !build_has_neon()) {
@@ -92,6 +107,7 @@ Backend resolve(Backend requested) noexcept {
 std::vector<Backend> available_backends() {
   std::vector<Backend> backends;
   if (!env_overrides().force_scalar) {
+    if (cpu_has_avx512()) backends.push_back(Backend::kAvx512);
     if (cpu_has_avx2()) backends.push_back(Backend::kAvx2);
     if (build_has_neon()) backends.push_back(Backend::kNeon);
   }
@@ -109,6 +125,8 @@ const char* backend_name(Backend backend) noexcept {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvx512:
+      return "avx512";
     case Backend::kNeon:
       return "neon";
   }
@@ -121,6 +139,8 @@ BlockFn block_fn(Backend resolved) noexcept {
       return scalar_block_fn();
     case Backend::kAvx2:
       return avx2_block_fn();
+    case Backend::kAvx512:
+      return avx512_block_fn();
     case Backend::kNeon:
       return neon_block_fn();
     default:

@@ -36,8 +36,9 @@
 // sampled distribution is identical (pinned by cross-validation tests), and
 // determinism across thread/shard counts is untouched because streams are
 // still keyed by (round, block).
-// Backends (portable scalar-word, AVX2, NEON) implement one stream schedule:
-// they produce bit-identical populations and differ only in speed.
+// Backends (portable scalar-word, AVX2, AVX-512F, NEON) implement one stream
+// schedule: they produce bit-identical populations and differ only in
+// speed. kAuto dispatches on cpuid to the widest one the host runs.
 #ifndef BITSPREAD_ENGINE_KERNEL_KERNEL_H_
 #define BITSPREAD_ENGINE_KERNEL_KERNEL_H_
 
@@ -52,12 +53,21 @@ class FloydSampler;
 
 namespace kernel {
 
-// Requested backend. kAuto picks the best available at runtime (cpuid);
-// kLegacy opts out of the kernel entirely (the engine keeps its per-agent
-// loop). Environment overrides, applied inside resolve():
+// Requested backend. kAuto picks the best available at runtime (cpuid:
+// AVX-512F with AVX2, then AVX2, then NEON, then scalar); kLegacy opts out
+// of the kernel entirely (the engine keeps its per-agent loop). kAvx512 is
+// reached through kAuto or a pin. Environment overrides, applied inside
+// resolve():
 //   BITSPREAD_KERNEL=auto|legacy|scalar|avx2|neon  — replaces kAuto requests
 //   BITSPREAD_FORCE_SCALAR_KERNEL=1                — demotes SIMD to scalar
-enum class Backend : std::uint8_t { kAuto, kLegacy, kScalarWord, kAvx2, kNeon };
+enum class Backend : std::uint8_t {
+  kAuto,
+  kLegacy,
+  kScalarWord,
+  kAvx2,
+  kNeon,
+  kAvx512
+};
 
 // Maps a request to the concrete backend a step will use (never kAuto; may
 // be kLegacy). Unavailable SIMD requests fall back to kScalarWord.

@@ -148,6 +148,8 @@ TEST(KernelResolve, ForceScalarDemotesSimdIncludingExplicitRequests) {
             Backend::kScalarWord);
   EXPECT_EQ(kernel::resolve_with(Backend::kAuto, "avx2", true),
             Backend::kScalarWord);
+  EXPECT_EQ(kernel::resolve_with(Backend::kAvx512, nullptr, true),
+            Backend::kScalarWord);
   // ...but never touches the non-SIMD backends.
   EXPECT_EQ(kernel::resolve_with(Backend::kLegacy, nullptr, true),
             Backend::kLegacy);
@@ -159,7 +161,7 @@ TEST(KernelResolve, ResolvedBackendsAlwaysHaveABlockFn) {
   // Whatever the host ISA, a resolved non-legacy backend must dispatch.
   for (const Backend requested :
        {Backend::kAuto, Backend::kScalarWord, Backend::kAvx2,
-        Backend::kNeon}) {
+        Backend::kAvx512, Backend::kNeon}) {
     const Backend resolved = kernel::resolve_with(requested, nullptr, false);
     EXPECT_NE(resolved, Backend::kAuto);
     EXPECT_NE(kernel::block_fn(resolved), nullptr)
@@ -176,11 +178,45 @@ TEST(KernelResolve, AvailableBackendsEndWithScalarWord) {
   }
 }
 
+TEST(KernelResolve, AvailableBackendsAreListedBestFirst) {
+  // The auto preference order: AVX-512F ahead of AVX2, then NEON, then the
+  // portable scalar word. Each appears at most once, in that order.
+  const Backend order[] = {Backend::kAvx512, Backend::kAvx2, Backend::kNeon,
+                           Backend::kScalarWord};
+  const auto backends = kernel::available_backends();
+  std::size_t next = 0;
+  for (const Backend b : backends) {
+    while (next < std::size(order) && order[next] != b) ++next;
+    ASSERT_LT(next, std::size(order))
+        << kernel::backend_name(b) << " out of order";
+    ++next;
+  }
+  // Where AVX-512F is listed, it leads (and so precedes AVX2).
+  if (std::find(backends.begin(), backends.end(), Backend::kAvx512) !=
+      backends.end()) {
+    EXPECT_EQ(backends.front(), Backend::kAvx512);
+  }
+}
+
+TEST(KernelResolve, Avx512PinResolvesToItselfOrScalar) {
+  // A kAvx512 pin never lands on another SIMD tier: on a host without
+  // AVX-512F it falls back to the portable scalar word, like every pin.
+  const Backend pinned = kernel::resolve_with(Backend::kAvx512, nullptr, false);
+  EXPECT_TRUE(pinned == Backend::kAvx512 || pinned == Backend::kScalarWord)
+      << kernel::backend_name(pinned);
+  // Auto picks the tier first wherever the host runs it.
+  if (pinned == Backend::kAvx512) {
+    EXPECT_EQ(kernel::resolve_with(Backend::kAuto, nullptr, false),
+              Backend::kAvx512);
+  }
+}
+
 TEST(KernelResolve, BackendNamesAreStable) {
   // Bench rows and the CI kernel matrix grep on these strings.
   EXPECT_STREQ(kernel::backend_name(Backend::kLegacy), "legacy");
   EXPECT_STREQ(kernel::backend_name(Backend::kScalarWord), "scalar");
   EXPECT_STREQ(kernel::backend_name(Backend::kAvx2), "avx2");
+  EXPECT_STREQ(kernel::backend_name(Backend::kAvx512), "avx512");
   EXPECT_STREQ(kernel::backend_name(Backend::kNeon), "neon");
 }
 
@@ -340,12 +376,15 @@ TEST(KernelLanes, PerSlotBoundsRejectThroughTheCanonicalMap) {
 
 TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
   // The SIMD backends' cold path on CSR rows: a hand-built CSR of 100
-  // agents (a full word and a tail word) with degree 4093 each, l = 128.
-  // A lane seed whose schedule rejects at least one slot is found by
-  // replaying the canonical map, then every backend's block must match the
-  // scalar block bit for bit.
+  // agents (a full word and a tail word) with degree 32513 each, l = 128.
+  // A lane seed whose schedule rejects at least one slot in lanes 0-3 and
+  // one in lanes 4-7 (AVX2's two halves of a row, one AVX-512 vector) is
+  // found by replaying the canonical map, then every backend's block must
+  // match the scalar block bit for bit.
   constexpr std::uint64_t kN = 100;
-  constexpr std::uint32_t kDegree = 4093;  // Threshold 2304: rejections.
+  // Threshold 32509, so a slot rejects with P ~ 7.6e-6 and about one seed
+  // in 500 rejects in both halves.
+  constexpr std::uint32_t kDegree = 32513;
   constexpr std::uint32_t kEll = 128;
   std::vector<std::uint64_t> offsets(kN + 1);
   std::vector<std::uint32_t> adjacency(kN * kDegree);
@@ -358,10 +397,14 @@ TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
 
   // Replays one block's with-replacement lane schedule (kEll x 4 rows per
   // word; the tail word's padding slots have bound 1) and counts rejected
-  // slots.
+  // slots in lanes 0-3 (slots 0-7) and lanes 4-7 (slots 8-15).
+  struct Rejections {
+    int low_lanes = 0;
+    int high_lanes = 0;
+  };
   const auto rejections = [&](std::uint64_t seed) {
     LaneRng lanes(seed);
-    int rejected = 0;
+    Rejections rejected;
     for (std::uint64_t word = 0; word < 2; ++word) {
       for (std::uint32_t j = 0; j < kEll; ++j) {
         for (unsigned q = 0; q < 4; ++q) {
@@ -375,7 +418,7 @@ TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
                                            : row[s >> 1] & 0xffffffffull;
             if (((half * bound[s]) & 0xffffffffull) <
                 lemire32_threshold(bound[s])) {
-              ++rejected;
+              ++(s < 8 ? rejected.low_lanes : rejected.high_lanes);
             }
           }
           std::uint32_t out[16];
@@ -386,7 +429,10 @@ TEST(KernelLanes, SimdRowRejectionMatchesScalarOnGraphRows) {
     return rejected;
   };
   std::uint64_t seed = 1;
-  while (rejections(seed) == 0) ++seed;
+  for (;; ++seed) {
+    const Rejections r = rejections(seed);
+    if (r.low_lanes > 0 && r.high_lanes > 0) break;
+  }
 
   std::vector<double> gtable(2 * (kEll + 1));
   for (std::uint32_t k = 0; k <= kEll; ++k) {
