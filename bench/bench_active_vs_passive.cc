@@ -98,7 +98,7 @@ void run(const BenchOptions& options) {
     ns.push_back(static_cast<double>(n));
     epidemic_means.push_back(epidemic_rounds.mean());
   }
-  emit_table(table, options);
+  table.print(std::cout);
 
   const LinearFit fit = loglog_fit(ns, epidemic_means);
   std::printf(

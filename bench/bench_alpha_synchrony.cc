@@ -73,7 +73,7 @@ void run(const BenchOptions& options) {
                                   0))});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nVoter is alpha-indifferent (its per-activation behavior doesn't "
       "depend on who\nelse moves). Minority is the opposite: where the "

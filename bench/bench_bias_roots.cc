@@ -108,7 +108,7 @@ void run(const BenchOptions& options) {
   }
   std::printf("\nroot structure and Case 1/2 classification (Theorem 12's "
               "construction):\n");
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nReading guide: Voter's F vanishes identically (Lemma 11). Minority "
       "is Case 1\n(F < 0 right of its middle root: it fights a large "

@@ -62,7 +62,7 @@ void run(const BenchOptions& options) {
            Table::fmt(result.final_config.fraction_ones(), 3)});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nNo cell ever reaches (or could reach) a consensus: with both camps "
       "non-empty the\nones-count is pinned inside (0, n) forever — the "

@@ -118,7 +118,7 @@ void run(const BenchOptions& options) {
     }
     ++cell;
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nall simulated means within 5 standard errors of the exact "
       "expectation: %s\n(parallel exact = fundamental-matrix solve on the "

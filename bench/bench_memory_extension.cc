@@ -103,7 +103,7 @@ void run(const BenchOptions& options) {
                      Table::fmt(final_fraction, 3)});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nbudgets: polylog (20 log^2 n) for everything except voter "
       "(40 n log n).\nWhat to look for: at l = Theta(log n) no memory-less "

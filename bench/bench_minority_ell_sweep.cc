@@ -89,7 +89,7 @@ void run(const BenchOptions& options) {
       thresholds.push_back(static_cast<double>(*threshold));
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
 
   std::printf("\nempirical thresholds l*(n) (smallest grid l with all "
               "replicates converging in the polylog budget):\n");

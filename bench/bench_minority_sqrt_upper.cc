@@ -63,7 +63,7 @@ void run(const BenchOptions& options) {
                      Table::fmt(m.rounds.max(), 0)});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nall cells solved: %s. T / log^2 n stays bounded (in fact shrinks) "
       "while n grows %llux:\nthe parallel setting with a large sample size "

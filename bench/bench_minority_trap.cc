@@ -66,7 +66,7 @@ void run(const BenchOptions& options) {
     ns_d.push_back(nd);
     log_escape.push_back(std::log(qsd.expected_escape_rounds()));
   }
-  emit_table(table, options);
+  table.print(std::cout);
 
   const LinearFit fit = ols_fit(ns_d, log_escape);
   std::printf(

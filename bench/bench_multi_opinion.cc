@@ -106,7 +106,7 @@ void run(const BenchOptions& options) {
     std::printf("k-ary dynamics from an even split (source holds opinion 0, "
                 "n = %llu):\n",
                 static_cast<unsigned long long>(n));
-    emit_table(table, options);
+    table.print(std::cout);
   }
   std::printf(
       "\nThe reduction columns agree to full precision and the unseen "

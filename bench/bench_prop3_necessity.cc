@@ -91,7 +91,7 @@ void run(const BenchOptions& options) {
                                          : Table::fmt(stats.first_escape)});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
 
   std::printf(
       "\nCompliant protocols hold the consensus for the whole horizon "

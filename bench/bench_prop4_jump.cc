@@ -84,7 +84,7 @@ void run(const BenchOptions& options) {
                      Table::fmt(proposition4_failure(n), 12)});
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nviolations observed: %s (the bound's failure probability at n = "
       "%llu is ~e^{-%.0f},\nso zero violations over %d trials per cell is "

@@ -77,7 +77,7 @@ void run(const BenchOptions& options) {
       }
     }
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf("\nProposition 5 holds exactly in every cell: %s\n",
               all_ok ? "YES" : "NO (investigate!)");
 

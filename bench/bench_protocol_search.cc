@@ -113,7 +113,7 @@ void run(const BenchOptions& options) {
     }
   }
   std::printf("\nchampion at scale (all-wrong start):\n");
-  emit_table(sim_table, options);
+  sim_table.print(std::cout);
   if (ns.size() >= 2) {
     const LinearFit fit = loglog_fit(ns, means);
     std::printf(

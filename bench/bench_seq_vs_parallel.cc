@@ -126,7 +126,7 @@ void run(const BenchOptions& options) {
                      std::to_string(reps) + ")"});
     }
     std::printf("minority with l = sqrt(n ln n), X0 = n/2, z = 1:\n");
-    emit_table(table, options);
+    table.print(std::cout);
   }
   std::printf(
       "\nVoter: sequential/parallel within a small constant of each other "

@@ -67,10 +67,8 @@ void run(const BenchOptions& options) {
   reporter.set_workload("n_max", JsonValue(grid.back()));
   reporter.set_workload("reps", JsonValue(std::int64_t{reps}));
 
-  // The ledger shares the reporter's registry so the outcome counters land
-  // in the JSON metrics block for free.
-  MetricsRegistry registry;
-  OutcomeLedger ledger(&registry);
+  // The ledger's tallies become the report's metrics block.
+  OutcomeLedger ledger;
   telemetry::PhaseStats phase_stats;
   // Outlives the flight recorder's scope below, which nests inside it and
   // adds its trace and stream to this bundle.
@@ -163,7 +161,7 @@ void run(const BenchOptions& options) {
   const double simulate_seconds =
       static_cast<double>(telemetry::clock_now_ns() - simulate_start_ns) *
       1e-9;
-  emit_table(table, options);
+  table.print(std::cout);
 
   std::printf("\nall cells respect the n^{1-eps} floor: %s\n",
               all_respect_floor ? "YES" : "NO (investigate!)");
@@ -189,7 +187,7 @@ void run(const BenchOptions& options) {
   if (flight_recorder.recorder() != nullptr) {
     reporter.set_flight_recorder(*flight_recorder.recorder());
   }
-  reporter.set_metrics(registry.snapshot());
+  reporter.set_metrics(ledger.metrics());
   reporter.add_table("interval_crossing", table);
   reporter.write_file(
       options.json_path.value_or("BENCH_thm1_lower_bound.json"));

@@ -76,8 +76,7 @@ void run(const BenchOptions& options) {
   reporter.set_workload("n_max", JsonValue(grid.back()));
   reporter.set_workload("reps", JsonValue(std::int64_t{reps}));
 
-  MetricsRegistry registry;
-  OutcomeLedger ledger(&registry);
+  OutcomeLedger ledger;
   telemetry::PhaseStats phase_stats;
   // Outlives the flight recorder's scope below, which nests inside it and
   // adds its trace and stream to this bundle.
@@ -125,7 +124,7 @@ void run(const BenchOptions& options) {
     ns.push_back(static_cast<double>(n));
     means.push_back(m.rounds.mean());
   }
-  emit_table(table, options);
+  table.print(std::cout);
 
   const LinearFit fit = loglog_fit(ns, means);
   std::printf(
@@ -146,7 +145,7 @@ void run(const BenchOptions& options) {
   if (flight_recorder.recorder() != nullptr) {
     reporter.set_flight_recorder(*flight_recorder.recorder());
   }
-  reporter.set_metrics(registry.snapshot());
+  reporter.set_metrics(ledger.metrics());
   reporter.add_table("voter_convergence", table);
   reporter.write_file(
       options.json_path.value_or("BENCH_thm2_voter_upper.json"));

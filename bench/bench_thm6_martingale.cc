@@ -179,7 +179,7 @@ void run(const BenchOptions& options) {
                    always_below ? "yes" : "NO",
                    std::to_string(crossed) + "/" + std::to_string(reps)});
   }
-  emit_table(table, options);
+  table.print(std::cout);
   std::printf(
       "\nClaims 7/9 (Y_t never jumps over M_t) hold in every replicate, and "
       "no trajectory\ncrosses a3*n before T = n^{1-eps}. Claim 8's "

@@ -91,7 +91,7 @@ void run(const BenchOptions& options) {
     std::printf("minority around the empirical threshold, n = %llu, "
                 "all-wrong start:\n",
                 static_cast<unsigned long long>(n));
-    emit_table(table, options);
+    table.print(std::cout);
     reporter.add_table("minority_parity", table);
   }
 

@@ -195,7 +195,7 @@ void run(const BenchOptions& options) {
                           Table::fmt(vs_complete(row), 3), row.backend,
                           Table::fmt(row.cut.cut_fraction, 5)});
   }
-  emit_table(spread_table, options);
+  spread_table.print(std::cout);
   std::printf(
       "\nEvery row runs the bitslice kernel; structured rows sample CSR rows\n"
       "(dispatch: \"%s\").\n",
@@ -239,7 +239,7 @@ void run(const BenchOptions& options) {
                       : 0.0,
                   3),
        std::to_string(censored)});
-  emit_table(dual_table, options);
+  dual_table.print(std::cout);
   std::printf(
       "\nring duality: consensus from all-wrong =d backward coalescing walks\n"
       "absorbed at the source — the means must track (KS check in\n"

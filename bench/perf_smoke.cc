@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--quick") quick = true;
     if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    recorder_options.parse_flag(argc, argv, i);
+    recorder_options.parse_flag(arg);
   }
   FlightRecorderScope flight_recorder(recorder_options);
 

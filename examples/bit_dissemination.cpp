@@ -11,7 +11,7 @@
 //   * Minority with constant l stalls (Theorem 1);
 //   * Majority is fast but WRONG from a wrong-majority start (§1).
 //
-//   $ ./bit_dissemination [--trace] [--metrics-out <path>]
+//   $ ./bit_dissemination [--trace]
 #include <cstdio>
 #include <functional>
 #include <iostream>

@@ -12,7 +12,7 @@
 //   5. simulate from exactly that adversarial configuration and watch the
 //      prediction hold.
 //
-//   $ ./design_your_protocol [--trace] [--metrics-out <path>]
+//   $ ./design_your_protocol [--trace]
 #include <cstdio>
 
 #include "analysis/bias.h"

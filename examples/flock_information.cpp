@@ -10,7 +10,7 @@
 // prints how far the information actually gets within a realistic number of
 // decision rounds.
 //
-//   $ ./flock_information [--trace] [--metrics-out <path>]
+//   $ ./flock_information [--trace]
 #include <cstdio>
 #include <iostream>
 #include <vector>

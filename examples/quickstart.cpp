@@ -6,7 +6,7 @@
 // group to the correct consensus in a few dozen synchronous rounds — the
 // regime of Becchetti et al. (SODA 2024) that motivates the paper's question.
 //
-//   $ ./quickstart [--trace] [--metrics-out <path>]
+//   $ ./quickstart [--trace]
 #include <cstdio>
 
 #include "core/init.h"

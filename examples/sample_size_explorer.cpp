@@ -7,8 +7,7 @@
 // from the hardest start. (bench_minority_ell_sweep runs the full-scale
 // version across several n.)
 //
-//   $ ./sample_size_explorer [n_log2] [--trace] [--metrics-out <path>]
-//                                           (default n = 2^14)
+//   $ ./sample_size_explorer [n_log2] [--trace]    (default n = 2^14)
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>

@@ -1,10 +1,8 @@
 #include "obs/prometheus.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "profile/pmu.h"
 
@@ -92,18 +90,6 @@ void run_gauge(std::string& out, const std::vector<ProgressRecord>& runs,
 
 }  // namespace
 
-std::string sanitize_metric_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, 1, '_');
-  return out;
-}
-
 std::string escape_label_value(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -146,47 +132,6 @@ std::string escape_help_text(const std::string& text) {
 std::string to_exposition(const MetricsSnapshot& snapshot) {
   std::string out;
   out.reserve(4096);
-
-  // --- Registry counters -------------------------------------------------
-  for (const auto& [name, value] : snapshot.registry.counters) {
-    std::string family = "bitspread_" + sanitize_metric_name(name);
-    const std::string suffix = "_total";
-    if (family.size() < suffix.size() ||
-        family.compare(family.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-      family += suffix;
-    }
-    help_and_type(out, family, "counter \"" + name + "\" from MetricsRegistry",
-                  "counter");
-    sample(out, family, "", format_uint(value));
-  }
-
-  // --- Registry gauges ---------------------------------------------------
-  for (const auto& [name, value] : snapshot.registry.gauges) {
-    const std::string family = "bitspread_" + sanitize_metric_name(name);
-    help_and_type(out, family, "gauge \"" + name + "\" from MetricsRegistry",
-                  "gauge");
-    sample(out, family, "", format_double(value));
-  }
-
-  // --- Registry histograms (per-bucket counts -> cumulative le series) ---
-  for (const auto& [name, histogram] : snapshot.registry.histograms) {
-    const std::string family = "bitspread_" + sanitize_metric_name(name);
-    help_and_type(out, family,
-                  "histogram \"" + name + "\" from MetricsRegistry",
-                  "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i < histogram.counts.size()) cumulative += histogram.counts[i];
-      sample(out, family + "_bucket",
-             "{le=\"" + format_double(histogram.bounds[i]) + "\"}",
-             format_uint(cumulative));
-    }
-    sample(out, family + "_bucket", "{le=\"+Inf\"}",
-           format_uint(histogram.count));
-    sample(out, family + "_sum", "", format_double(histogram.sum));
-    sample(out, family + "_count", "", format_uint(histogram.count));
-  }
 
   // --- Wall-clock phase totals ------------------------------------------
   if (snapshot.phases_present) {

@@ -1,15 +1,8 @@
 // Prometheus text exposition (format version 0.0.4) for a MetricsSnapshot.
 //
 // Naming contract, pinned by tests/obs_test.cc:
-//  - Every family is prefixed `bitspread_`; registry metric names are
-//    sanitized (any character outside [a-zA-Z0-9_] becomes '_', so
-//    "outcomes.total" -> "bitspread_outcomes_total").
-//  - Registry counters are TYPE counter and carry a `_total` suffix,
-//    appended unless the sanitized name already ends in one
-//    ("outcomes.converged" -> "bitspread_outcomes_converged_total").
-//  - Registry gauges are TYPE gauge, no suffix; histograms are TYPE
-//    histogram with CUMULATIVE `_bucket{le="..."}` samples (the registry
-//    stores per-bucket counts), `_sum`, and `_count`.
+//  - Every family is prefixed `bitspread_`; counters carry a `_total`
+//    suffix, gauges none.
 //  - Phase wall-clock totals become bitspread_phase_seconds_total /
 //    bitspread_phase_events_total{phase="round_step"}; PMU totals become
 //    bitspread_pmu_events_total{phase=...,counter="cycles"} plus per-phase
@@ -34,7 +27,6 @@ namespace obs {
 std::string to_exposition(const MetricsSnapshot& snapshot);
 
 // Exposed for the golden-format tests.
-std::string sanitize_metric_name(const std::string& name);
 std::string escape_label_value(const std::string& value);
 std::string escape_help_text(const std::string& text);
 

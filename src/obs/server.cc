@@ -359,11 +359,8 @@ void IntrospectionServer::handle_connection(int fd) {
   }
 
   scrapes_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry& registry = options_.registry != nullptr
-                                  ? *options_.registry
-                                  : MetricsRegistry::global();
   if (target == "/metrics") {
-    const MetricsSnapshot snapshot = capture_metrics(registry);
+    const MetricsSnapshot snapshot = capture_metrics();
     std::string body = to_exposition(snapshot);
     body += "# HELP bitspread_exporter_scrapes_total scrapes served by this "
             "exporter\n# TYPE bitspread_exporter_scrapes_total counter\n"
@@ -374,7 +371,7 @@ void IntrospectionServer::handle_connection(int fd) {
                                "text/plain; version=0.0.4; charset=utf-8",
                                body));
   } else if (target == "/healthz") {
-    const MetricsSnapshot snapshot = capture_metrics(registry);
+    const MetricsSnapshot snapshot = capture_metrics();
     std::uint64_t active = 0;
     for (const ProgressRecord& record : snapshot.runs) {
       if (record.active) ++active;
@@ -393,7 +390,7 @@ void IntrospectionServer::handle_connection(int fd) {
     send_all(fd,
              http_response(200, "OK", "application/json", doc.dump()));
   } else if (target == "/progress") {
-    const MetricsSnapshot snapshot = capture_metrics(registry);
+    const MetricsSnapshot snapshot = capture_metrics();
     send_all(fd, http_response(200, "OK", "application/json",
                                progress_json(snapshot).dump()));
   } else if (target == "/stream") {

@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
 namespace bitspread {
@@ -86,8 +85,7 @@ class StreamHub : public telemetry::RoundSink {
 
 struct ServerOptions {
   std::string listen;  // "addr:port", ":port", or bare "port" (127.0.0.1).
-  MetricsRegistry* registry = nullptr;  // nullptr = MetricsRegistry::global().
-  StreamHub* hub = nullptr;             // nullptr = /stream returns 503.
+  StreamHub* hub = nullptr;  // nullptr = /stream returns 503.
 };
 
 class IntrospectionServer {

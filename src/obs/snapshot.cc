@@ -5,14 +5,13 @@
 namespace bitspread {
 namespace obs {
 
-MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
+MetricsSnapshot capture_metrics() {
   // Held for the whole capture: no SinkScope can end, and free the sinks it
   // installed, while this reads them.
   const auto lock = telemetry::lock_sinks();
   const telemetry::Sinks& bundle = telemetry::sinks();
   MetricsSnapshot snap;
   snap.captured_ns = telemetry::clock_now_ns();
-  snap.registry = registry.snapshot();
 
   if (const telemetry::PhaseStats* phases = bundle.phases) {
     snap.phases_present = true;

@@ -1,11 +1,9 @@
 // MetricsSnapshot: one consistent, lock-brief copy of everything the
-// process knows about itself — registry counters/gauges/histograms and the
-// installed sink bundle's wall-clock phase sink, PMU sink and progress
-// board — without perturbing any write path.
+// process knows about itself — the installed sink bundle's wall-clock phase
+// sink, PMU sink and progress board — without perturbing any write path.
 //
 // Consistency model (DESIGN.md §3.9): each source is internally consistent,
-// not mutually atomic. The registry snapshot holds its shard lock only long
-// enough to merge; phase and PMU totals are relaxed-atomic reads of
+// not mutually atomic. Phase and PMU totals are relaxed-atomic reads of
 // monotone accumulators (a concurrent probe may land between two reads of
 // the same phase — totals are still each a value the accumulator passed
 // through); progress records are seqlock-consistent per slot. A scrape
@@ -22,16 +20,12 @@
 
 #include "obs/progress.h"
 #include "profile/pmu.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
 namespace bitspread {
 namespace obs {
 
 struct MetricsSnapshot {
-  // Registry counters/gauges/histograms (merged across thread shards).
-  MetricsRegistry::Snapshot registry;
-
   // Wall-clock phase totals from the installed telemetry::PhaseStats sink.
   bool phases_present = false;
   std::array<std::uint64_t, telemetry::kPhaseCount> phase_ns{};
@@ -59,11 +53,10 @@ struct MetricsSnapshot {
   std::uint64_t captured_ns = 0;  // Steady-clock ns at capture.
 };
 
-// Captures from `registry` plus the installed sink bundle. Safe to call
-// from any thread at any time; a SinkScope beginning or ending meanwhile
-// waits for the capture to finish.
-MetricsSnapshot capture_metrics(
-    MetricsRegistry& registry = MetricsRegistry::global());
+// Captures from the installed sink bundle. Safe to call from any thread at
+// any time; a SinkScope beginning or ending meanwhile waits for the capture
+// to finish.
+MetricsSnapshot capture_metrics();
 
 }  // namespace obs
 }  // namespace bitspread

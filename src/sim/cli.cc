@@ -15,14 +15,9 @@
 
 namespace bitspread {
 
-bool FlightRecorderOptions::parse_flag(int argc, char** argv, int& i) {
-  const std::string arg = argv[i];
+bool FlightRecorderOptions::parse_flag(const std::string& arg) {
   if (arg == "--trace") {
     trace = true;
-  } else if (arg == "--metrics-out" && i + 1 < argc) {
-    metrics_out = argv[++i];
-  } else if (arg.rfind("--metrics-out=", 0) == 0) {
-    metrics_out = arg.substr(14);
   } else if (arg.rfind("--trace-out=", 0) == 0) {
     trace_out = arg.substr(12);
   } else if (arg.rfind("--stream-out=", 0) == 0) {
@@ -58,7 +53,7 @@ bool FlightRecorderOptions::parse_flag(int argc, char** argv, int& i) {
 FlightRecorderOptions FlightRecorderOptions::parse(int argc, char** argv) {
   FlightRecorderOptions options;
   for (int i = 1; i < argc; ++i) {
-    if (!options.parse_flag(argc, argv, i) &&
+    if (!options.parse_flag(argv[i]) &&
         std::strncmp(argv[i], "--", 2) == 0) {
       // Positional arguments stay the caller's business.
       std::cerr << "warning: unknown option '" << argv[i] << "' ignored\n";
@@ -84,21 +79,13 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       options.replicates = std::atoi(arg.c_str() + 7);
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
-    } else if (options.recorder.parse_flag(argc, argv, i)) {
+    } else if (options.recorder.parse_flag(arg)) {
       // Consumed by the flight recorder.
-    } else if (arg.rfind("--csv=", 0) == 0) {
-      std::cerr << "warning: --csv= has been removed; the unified --json "
-                   "report carries the tables\n";
     } else {
       std::cerr << "warning: unknown option '" << arg << "' ignored\n";
     }
   }
   return options;
-}
-
-void emit_table(const Table& table, const BenchOptions& options) {
-  (void)options;
-  table.print(std::cout);
 }
 
 void print_banner(const std::string& experiment_id, const std::string& title,
@@ -108,50 +95,37 @@ void print_banner(const std::string& experiment_id, const std::string& title,
             << (options.quick ? " (quick mode)" : "") << "\n\n";
 }
 
-namespace {
-
-// Ledger counter names: stable registry keys, shared with the JSON schema.
-constexpr const char kTotal[] = "outcomes.total";
-constexpr const char kConverged[] = "outcomes.converged";
-constexpr const char kCensored[] = "outcomes.censored";
-constexpr const char kDegraded[] = "outcomes.degraded";
-constexpr const char kWrong[] = "outcomes.wrong";
-
-}  // namespace
-
-OutcomeLedger::OutcomeLedger()
-    : owned_(std::make_unique<MetricsRegistry>()),
-      total_(owned_->counter(kTotal)),
-      converged_(owned_->counter(kConverged)),
-      censored_(owned_->counter(kCensored)),
-      degraded_(owned_->counter(kDegraded)),
-      wrong_(owned_->counter(kWrong)) {}
-
-OutcomeLedger::OutcomeLedger(MetricsRegistry* registry)
-    : total_(registry->counter(kTotal)),
-      converged_(registry->counter(kConverged)),
-      censored_(registry->counter(kCensored)),
-      degraded_(registry->counter(kDegraded)),
-      wrong_(registry->counter(kWrong)) {}
-
 void OutcomeLedger::add(const ConvergenceMeasurement& measurement) {
-  total_.increment(static_cast<std::uint64_t>(measurement.replicates));
-  converged_.increment(static_cast<std::uint64_t>(measurement.converged));
-  censored_.increment(static_cast<std::uint64_t>(measurement.censored));
-  degraded_.increment(static_cast<std::uint64_t>(measurement.degraded));
-  wrong_.increment(static_cast<std::uint64_t>(measurement.wrong_outcome));
+  total_ += measurement.replicates;
+  converged_ += measurement.converged;
+  censored_ += measurement.censored;
+  degraded_ += measurement.degraded;
+  wrong_ += measurement.wrong_outcome;
 }
 
 void OutcomeLedger::add_run(const RunResult& result) {
-  total_.increment();
+  ++total_;
   if (result.converged()) {
-    converged_.increment();
+    ++converged_;
   } else if (result.censored()) {
-    censored_.increment();
-    if (result.degraded()) degraded_.increment();
+    ++censored_;
+    if (result.degraded()) ++degraded_;
   } else {
-    wrong_.increment();
+    ++wrong_;
   }
+}
+
+ReportMetrics OutcomeLedger::metrics() const {
+  ReportMetrics metrics;
+  const auto count = [](int value) {
+    return static_cast<std::uint64_t>(value);
+  };
+  metrics.counters = {{"outcomes.total", count(total_)},
+                      {"outcomes.converged", count(converged_)},
+                      {"outcomes.censored", count(censored_)},
+                      {"outcomes.degraded", count(degraded_)},
+                      {"outcomes.wrong", count(wrong_)}};
+  return metrics;
 }
 
 void OutcomeLedger::report(std::ostream& out) const {
@@ -345,11 +319,6 @@ FlightRecorderScope::~FlightRecorderScope() {
                 << std::setprecision(6) << phase_table_->total_seconds(phase)
                 << " s across " << phase_table_->count(phase) << " events\n";
     }
-  }
-  if (options_.metrics_out) {
-    std::ofstream out(*options_.metrics_out);
-    out << metrics_to_json(MetricsRegistry::global().snapshot()).dump();
-    report_artifact(static_cast<bool>(out), "metrics", *options_.metrics_out);
   }
   if (checkpointer_ != nullptr) {
     snapshot::install_checkpointer(nullptr);

@@ -38,13 +38,6 @@
 //                          (JSON), and /stream (live per-round JSONL);
 //                          port 0 binds an ephemeral port, reported on
 //                          stderr as "[obs] listening on http://..."
-//
-// Metrics dump (benches and examples, any build):
-//   --metrics-out <path>   dump the global metrics registry as JSON on exit
-//                          (also --metrics-out=<path>)
-//
-// The former --csv=<path> table mirror (deprecated in the telemetry PR) has
-// been removed; the unified JSON report carries the tables.
 #ifndef BITSPREAD_SIM_CLI_H_
 #define BITSPREAD_SIM_CLI_H_
 
@@ -57,10 +50,9 @@
 
 #include "profile/counters.h"
 #include "profile/sampling.h"
-#include "sim/table.h"
 #include "snapshot/checkpoint.h"
 #include "telemetry/jsonl.h"
-#include "telemetry/metrics.h"
+#include "telemetry/reporter.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -79,9 +71,8 @@ class StreamHub;
 // bench and example binaries.
 struct FlightRecorderOptions {
   // --trace: install a PhaseStats sink and print its per-phase table on
-  // exit; --metrics-out: dump the global registry as JSON on exit.
+  // exit.
   bool trace = false;
-  std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
   std::optional<std::string> stream_out;
   std::size_t trace_buffer = std::size_t{1} << 15;
@@ -106,9 +97,8 @@ struct FlightRecorderOptions {
   bool requested() const noexcept {
     return trace_out.has_value() || stream_out.has_value();
   }
-  // Consumes argv[i] if it is one of these flags; the two-token form
-  // `--metrics-out <path>` also consumes argv[i + 1] and advances i.
-  bool parse_flag(int argc, char** argv, int& i);
+  // Consumes `arg` if it is one of these flags.
+  bool parse_flag(const std::string& arg);
   // Parses a whole command line. Positional arguments are the caller's;
   // unknown `--` flags are reported on stderr and ignored.
   static FlightRecorderOptions parse(int argc, char** argv);
@@ -126,10 +116,6 @@ struct BenchOptions {
 
 BenchOptions parse_bench_options(int argc, char** argv);
 
-// Prints the table to stdout. (The BenchOptions parameter is kept so call
-// sites read uniformly; the former CSV mirror is gone.)
-void emit_table(const Table& table, const BenchOptions& options);
-
 // Standard experiment banner.
 void print_banner(const std::string& experiment_id, const std::string& title,
                   const BenchOptions& options);
@@ -140,25 +126,23 @@ void print_banner(const std::string& experiment_id, const std::string& title,
 // scripts catch a stalled configuration instead of reading a green exit
 // code off a table of censored rows.
 //
-// The counts live in a MetricsRegistry (counters "outcomes.total",
-// "outcomes.converged", "outcomes.censored", "outcomes.degraded",
-// "outcomes.wrong"), so a bench that shares its registry gets the ledger's
-// tallies in its metrics snapshot for free. The default constructor owns a
-// private registry; pass one to share. `degraded` follows the
-// ConvergenceMeasurement convention: also counted inside `censored`.
+// `degraded` follows the ConvergenceMeasurement convention: also counted
+// inside `censored`.
 class OutcomeLedger {
  public:
-  OutcomeLedger();
-  explicit OutcomeLedger(MetricsRegistry* registry);
-
   void add(const ConvergenceMeasurement& measurement);
   void add_run(const RunResult& result);
 
-  int total() const { return read(total_); }
-  int converged() const { return read(converged_); }
-  int censored() const { return read(censored_); }
-  int degraded() const { return read(degraded_); }
-  int wrong() const { return read(wrong_); }
+  int total() const { return total_; }
+  int converged() const { return converged_; }
+  int censored() const { return censored_; }
+  int degraded() const { return degraded_; }
+  int wrong() const { return wrong_; }
+
+  // The tallies as a report's metrics block: counters "outcomes.total",
+  // "outcomes.converged", "outcomes.censored", "outcomes.degraded" and
+  // "outcomes.wrong" (JsonReporter::set_metrics).
+  ReportMetrics metrics() const;
 
   // One-line summary, e.g.
   //   outcomes: 37/60 converged, 20 censored (3 degraded), 3 wrong outcome
@@ -168,16 +152,11 @@ class OutcomeLedger {
   int exit_status() const { return converged() > 0 ? 0 : 1; }
 
  private:
-  static int read(const MetricsRegistry::Counter& counter) {
-    return static_cast<int>(counter.value());
-  }
-
-  std::unique_ptr<MetricsRegistry> owned_;  // Null when sharing.
-  MetricsRegistry::Counter total_;
-  MetricsRegistry::Counter converged_;
-  MetricsRegistry::Counter censored_;
-  MetricsRegistry::Counter degraded_;
-  MetricsRegistry::Counter wrong_;
+  int total_ = 0;
+  int converged_ = 0;
+  int censored_ = 0;
+  int degraded_ = 0;
+  int wrong_ = 0;
 };
 
 // The one RAII scope for a bench's or example's run-observation flags. It
@@ -185,10 +164,10 @@ class OutcomeLedger {
 // --pmu-out PMU sink, the --trace-out TraceRecorder, the --stream-out
 // RoundStream (teed to /stream under --listen) and the --listen progress
 // board — and installs them as ONE telemetry::SinkScope for its lifetime.
-// The destructor ends that scope, then writes the trace, PMU and metrics
-// files, flushes the stream, prints the phase table, and reports what was
-// written (with the dropped-event count) on stderr. Construct before
-// the run, destroy after — installation must not race an engine; a bench's
+// The destructor ends that scope, then writes the trace and PMU files,
+// flushes the stream, prints the phase table, and reports what was written
+// (with the dropped-event count) on stderr. Construct before the run,
+// destroy after — installation must not race an engine; a bench's
 // own SinkScope nests inside or around it.
 //
 // The scope also owns the checkpoint lifecycle (--checkpoint-out=/--resume=;

@@ -29,18 +29,18 @@ JsonValue build_stamp() {
 
 }  // namespace
 
-JsonValue metrics_to_json(const MetricsRegistry::Snapshot& snapshot) {
+JsonValue metrics_to_json(const ReportMetrics& metrics) {
   JsonValue out = JsonValue::object();
   JsonValue counters = JsonValue::object();
-  for (const auto& [name, value] : snapshot.counters) {
+  for (const auto& [name, value] : metrics.counters) {
     counters.set(name, value);
   }
   JsonValue gauges = JsonValue::object();
-  for (const auto& [name, value] : snapshot.gauges) {
+  for (const auto& [name, value] : metrics.gauges) {
     gauges.set(name, value);
   }
   JsonValue histograms = JsonValue::object();
-  for (const auto& [name, hist] : snapshot.histograms) {
+  for (const auto& [name, hist] : metrics.histograms) {
     JsonValue h = JsonValue::object();
     JsonValue bounds = JsonValue::array();
     for (const double b : hist.bounds) bounds.push_back(b);
@@ -91,8 +91,8 @@ void JsonReporter::add_phase_stats(const telemetry::PhaseStats& stats) {
   }
 }
 
-void JsonReporter::set_metrics(const MetricsRegistry::Snapshot& snapshot) {
-  metrics_ = metrics_to_json(snapshot);
+void JsonReporter::set_metrics(const ReportMetrics& metrics) {
+  metrics_ = metrics_to_json(metrics);
 }
 
 void JsonReporter::add_table(const std::string& title, const Table& table) {

@@ -25,11 +25,11 @@
 #define BITSPREAD_TELEMETRY_REPORTER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -38,6 +38,23 @@ namespace bitspread {
 class Table;
 
 inline constexpr const char kBenchSchema[] = "bitspread-bench/1";
+
+// The report's "metrics" block. Only counters are ever filled (the
+// OutcomeLedger's outcomes.* tallies); the gauge and histogram maps keep
+// the block's schema and keep reporter.cc compiling to the same code, so
+// bench/e2e, which links it, stays the same program. The next edit of
+// bench/e2e can drop them.
+struct ReportMetrics {
+  struct Histogram {
+    std::vector<double> bounds;         // Finite upper bounds.
+    std::vector<std::uint64_t> counts;  // bounds.size() + 1 (last = overflow).
+    std::uint64_t count = 0;
+    double sum = 0.0;
+  };
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Histogram> histograms;
+};
 
 class JsonReporter {
  public:
@@ -58,8 +75,8 @@ class JsonReporter {
   // Appends every recorded phase of a PhaseStats sink (skips empty phases).
   void add_phase_stats(const telemetry::PhaseStats& stats);
 
-  // Embeds a metrics snapshot under "metrics".
-  void set_metrics(const MetricsRegistry::Snapshot& snapshot);
+  // Embeds the metrics block under "metrics".
+  void set_metrics(const ReportMetrics& metrics);
 
   // Appends a console table under "tables" (columns + stringified rows),
   // preserving exactly what the human-readable output showed.
@@ -96,9 +113,8 @@ class JsonReporter {
 // Returns the list of schema violations (empty = valid report).
 std::vector<std::string> validate_bench_report(const JsonValue& report);
 
-// Converts a metrics snapshot to its JSON form (also used by the examples'
-// --metrics-out flag, without the bench wrapper).
-JsonValue metrics_to_json(const MetricsRegistry::Snapshot& snapshot);
+// Converts a metrics block to its JSON form.
+JsonValue metrics_to_json(const ReportMetrics& metrics);
 
 }  // namespace bitspread
 

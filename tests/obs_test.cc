@@ -33,7 +33,6 @@
 #include "protocols/minority.h"
 #include "snapshot/state.h"
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
 namespace bitspread {
@@ -158,14 +157,6 @@ std::vector<ParsedSample> parse_exposition(const std::string& text) {
 
 // --- Name/label escaping ---------------------------------------------------
 
-TEST(Exposition, SanitizesMetricNames) {
-  EXPECT_EQ(obs::sanitize_metric_name("outcomes.converged"),
-            "outcomes_converged");
-  EXPECT_EQ(obs::sanitize_metric_name("rounds-total"), "rounds_total");
-  EXPECT_EQ(obs::sanitize_metric_name("ok_name_42"), "ok_name_42");
-  EXPECT_EQ(obs::sanitize_metric_name("weird % name"), "weird___name");
-}
-
 TEST(Exposition, EscapesLabelValues) {
   EXPECT_EQ(obs::escape_label_value("plain"), "plain");
   EXPECT_EQ(obs::escape_label_value("a\\b"), "a\\\\b");
@@ -185,17 +176,6 @@ TEST(Exposition, EscapesHelpText) {
 
 obs::MetricsSnapshot golden_snapshot() {
   obs::MetricsSnapshot snapshot;
-  snapshot.registry.counters["outcomes.converged"] = 3;
-  snapshot.registry.counters["outcomes.degraded"] = 1;
-  snapshot.registry.counters["rounds.total"] = 1500;  // Already *_total.
-  snapshot.registry.gauges["pool.workers"] = 4.0;
-  MetricsRegistry::HistogramSnapshot hist;
-  hist.bounds = {0.001, 0.01};
-  hist.counts = {10, 5, 2};  // Per-bucket; exposition must cumulate.
-  hist.count = 17;
-  hist.sum = 0.09;
-  snapshot.registry.histograms["round.seconds"] = hist;
-
   snapshot.phases_present = true;
   const auto step = static_cast<std::size_t>(telemetry::Phase::kRoundStep);
   snapshot.phase_ns[step] = 250'000'000;  // 0.25 s.
@@ -229,40 +209,6 @@ obs::MetricsSnapshot golden_snapshot() {
 
 TEST(Exposition, GoldenFormat) {
   const std::string text = obs::to_exposition(golden_snapshot());
-
-  // Registry counters: TYPE counter, sanitized, _total appended exactly
-  // once.
-  EXPECT_NE(text.find("# TYPE bitspread_outcomes_converged_total counter"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("bitspread_outcomes_converged_total 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_outcomes_degraded_total 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE bitspread_rounds_total counter"),
-            std::string::npos);
-  EXPECT_EQ(text.find("bitspread_rounds_total_total"), std::string::npos)
-      << "_total must not be doubled";
-
-  // Gauges: TYPE gauge, no suffix.
-  EXPECT_NE(text.find("# TYPE bitspread_pool_workers gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_pool_workers 4\n"), std::string::npos);
-  EXPECT_EQ(text.find("bitspread_pool_workers_total"), std::string::npos);
-
-  // Histograms: cumulative buckets, +Inf, _sum, _count.
-  EXPECT_NE(text.find("# TYPE bitspread_round_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_round_seconds_bucket{le=\"0.001\"} 10\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_round_seconds_bucket{le=\"0.01\"} 15\n"),
-            std::string::npos)
-      << "buckets must be cumulative (10 + 5)";
-  EXPECT_NE(text.find("bitspread_round_seconds_bucket{le=\"+Inf\"} 17\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_round_seconds_count 17\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("bitspread_round_seconds_sum"), std::string::npos);
 
   // Phase rows, labelled by phase_name().
   EXPECT_NE(
@@ -559,26 +505,22 @@ class LiveServerTest : public ::testing::Test {
   void SetUp() override {
     obs::ServerOptions options;
     options.listen = "127.0.0.1:0";
-    options.registry = &registry_;
     options.hub = &hub_;
     server_ = std::make_unique<obs::IntrospectionServer>(options);
     ASSERT_TRUE(server_->ok()) << server_->error();
     ASSERT_NE(server_->port(), 0);
   }
 
-  MetricsRegistry registry_;
   obs::StreamHub hub_;
   std::unique_ptr<obs::IntrospectionServer> server_;
 };
 
-TEST_F(LiveServerTest, MetricsRoundTripMatchesRegistry) {
-  registry_.counter("outcomes.converged").increment(7);
-  registry_.counter("scrape.test").increment(41);
-  registry_.gauge("pool.workers").set(3.0);
-  auto hist = registry_.histogram("round.seconds", {0.001, 0.1});
-  hist.observe(0.0005);
-  hist.observe(0.05);
-  hist.observe(5.0);
+TEST_F(LiveServerTest, MetricsRoundTripMatchesSinks) {
+  telemetry::PhaseStats phases;
+  phases.add(telemetry::Phase::kRoundStep, 250'000'000);
+  phases.add(telemetry::Phase::kRoundStep, 250'000'000);
+  phases.add(telemetry::Phase::kStopCheck, 1'000);
+  const telemetry::SinkScope scope({.phases = &phases});
 
   const std::string text = http_get(server_->port(), "/metrics");
   const auto samples = parse_exposition(text);
@@ -589,13 +531,11 @@ TEST_F(LiveServerTest, MetricsRoundTripMatchesRegistry) {
     EXPECT_EQ(flat.count(key), 0u) << "duplicate " << key;
     flat[key] = sample.value;
   }
-  EXPECT_EQ(flat.at("bitspread_outcomes_converged_total"), 7.0);
-  EXPECT_EQ(flat.at("bitspread_scrape_test_total"), 41.0);
-  EXPECT_EQ(flat.at("bitspread_pool_workers"), 3.0);
-  EXPECT_EQ(flat.at("bitspread_round_seconds_bucket{le=0.001}"), 1.0);
-  EXPECT_EQ(flat.at("bitspread_round_seconds_bucket{le=0.1}"), 2.0);
-  EXPECT_EQ(flat.at("bitspread_round_seconds_bucket{le=+Inf}"), 3.0);
-  EXPECT_EQ(flat.at("bitspread_round_seconds_count"), 3.0);
+  EXPECT_EQ(flat.at("bitspread_phase_seconds_total{phase=round_step}"), 0.5);
+  EXPECT_EQ(flat.at("bitspread_phase_events_total{phase=round_step}"), 2.0);
+  EXPECT_EQ(flat.at("bitspread_phase_events_total{phase=stop_check}"), 1.0);
+  // Phases with no events are skipped.
+  EXPECT_EQ(flat.count("bitspread_phase_events_total{phase=fault_apply}"), 0u);
   // The server appends its own scrape counter.
   EXPECT_GE(flat.at("bitspread_exporter_scrapes_total"), 1.0);
 }
@@ -743,13 +683,12 @@ TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
 // runs clean under ASan; and because one scope installs every sink at once,
 // each capture sees all of them or none.
 TEST(MetricsCapture, ScrapeWhileInstallHammerIsClean) {
-  MetricsRegistry registry;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> captures{0};
   std::atomic<std::uint64_t> saw_sinks{0};
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const obs::MetricsSnapshot snap = obs::capture_metrics(registry);
+      const obs::MetricsSnapshot snap = obs::capture_metrics();
       const bool board = snap.runs_started > 0;
       EXPECT_EQ(snap.pmu_present, board);
       EXPECT_EQ(snap.phases_present, board);
@@ -796,11 +735,9 @@ TEST(MetricsCapture, ScrapeWhileInstallHammerIsClean) {
 
 TEST(ExporterActive, TracksLiveServers) {
   EXPECT_FALSE(obs::exporter_active());
-  MetricsRegistry registry;
   {
     obs::ServerOptions options;
     options.listen = "127.0.0.1:0";
-    options.registry = &registry;
     obs::IntrospectionServer server(options);
     ASSERT_TRUE(server.ok()) << server.error();
     EXPECT_TRUE(obs::exporter_active());
@@ -817,15 +754,12 @@ TEST(Server, BadListenSpecFailsCleanly) {
 }
 
 TEST(Server, PortCollisionFailsCleanly) {
-  MetricsRegistry registry;
   obs::ServerOptions first;
   first.listen = "127.0.0.1:0";
-  first.registry = &registry;
   obs::IntrospectionServer one(first);
   ASSERT_TRUE(one.ok());
   obs::ServerOptions second;
   second.listen = "127.0.0.1:" + std::to_string(one.port());
-  second.registry = &registry;
   obs::IntrospectionServer two(second);
   EXPECT_FALSE(two.ok());
   EXPECT_FALSE(two.error().empty());

@@ -2,14 +2,19 @@
 // replicated measurement helpers (including censoring semantics).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/cli.h"
 #include "sim/experiment.h"
 #include "sim/seeds.h"
 #include "sim/sweep.h"
 #include "sim/table.h"
+#include "telemetry/reporter.h"
 
 namespace bitspread {
 namespace {
@@ -217,6 +222,83 @@ TEST(Measurement, DegradedIsDoubleCountedInsideCensored) {
   EXPECT_GE(m.degraded, 0);
   EXPECT_LE(m.degraded, m.censored);
   EXPECT_EQ(m.converged + m.censored + m.wrong_outcome, m.replicates);
+}
+
+RunResult run_ending(StopReason reason) {
+  RunResult result;
+  result.reason = reason;
+  return result;
+}
+
+// The ledger follows the measurement convention: a degraded run is counted
+// in `degraded` and inside `censored`.
+TEST(OutcomeLedger, TalliesRunsAndMeasurements) {
+  OutcomeLedger ledger;
+  ledger.add_run(run_ending(StopReason::kCorrectConsensus));
+  ledger.add_run(run_ending(StopReason::kRoundLimit));
+  ledger.add_run(run_ending(StopReason::kDegraded));
+  ledger.add_run(run_ending(StopReason::kWrongConsensus));
+  EXPECT_EQ(ledger.total(), 4);
+  EXPECT_EQ(ledger.converged(), 1);
+  EXPECT_EQ(ledger.censored(), 2);
+  EXPECT_EQ(ledger.degraded(), 1);
+  EXPECT_EQ(ledger.wrong(), 1);
+
+  ConvergenceMeasurement m;
+  m.replicates = 10;
+  m.converged = 4;
+  m.censored = 5;
+  m.degraded = 2;
+  m.wrong_outcome = 1;
+  ledger.add(m);
+  EXPECT_EQ(ledger.total(), 14);
+  EXPECT_EQ(ledger.converged(), 5);
+  EXPECT_EQ(ledger.censored(), 7);
+  EXPECT_EQ(ledger.degraded(), 3);
+  EXPECT_EQ(ledger.wrong(), 2);
+
+  std::ostringstream line;
+  ledger.report(line);
+  EXPECT_EQ(line.str(),
+            "outcomes: 5/14 converged, 7 censored (round cap) (3 degraded), "
+            "2 wrong outcome\n");
+}
+
+TEST(OutcomeLedger, ExitStatusFailsWhenNothingConverged) {
+  OutcomeLedger ledger;
+  EXPECT_EQ(ledger.exit_status(), 1);
+  ledger.add_run(run_ending(StopReason::kRoundLimit));
+  ledger.add_run(run_ending(StopReason::kDegraded));
+  ledger.add_run(run_ending(StopReason::kWrongConsensus));
+  EXPECT_EQ(ledger.exit_status(), 1);
+  ledger.add_run(run_ending(StopReason::kCorrectConsensus));
+  EXPECT_EQ(ledger.exit_status(), 0);
+}
+
+// The block bench_thm1_lower_bound and bench_thm2_voter_upper write under
+// "metrics": exactly the five outcomes.* counters of their committed
+// reports, and empty gauge and histogram maps.
+TEST(OutcomeLedger, MetricsBlockHoldsTheFiveOutcomeCounters) {
+  OutcomeLedger ledger;
+  ledger.add_run(run_ending(StopReason::kCorrectConsensus));
+  ledger.add_run(run_ending(StopReason::kCorrectConsensus));
+  ledger.add_run(run_ending(StopReason::kDegraded));
+  const JsonValue block = metrics_to_json(ledger.metrics());
+  const JsonValue* counters = block.find("counters");
+  ASSERT_NE(counters, nullptr);
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (const auto& [name, value] : counters->members()) {
+    got.emplace_back(name, value.as_uint());
+  }
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"outcomes.censored", 1}, {"outcomes.converged", 2},
+      {"outcomes.degraded", 1}, {"outcomes.total", 3},
+      {"outcomes.wrong", 0}};
+  EXPECT_EQ(got, want);
+  ASSERT_NE(block.find("gauges"), nullptr);
+  EXPECT_TRUE(block.find("gauges")->members().empty());
+  ASSERT_NE(block.find("histograms"), nullptr);
+  EXPECT_TRUE(block.find("histograms")->members().empty());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Telemetry subsystem tests: exact metrics under pool concurrency, the JSON
-// model and bench-report schema, phase probes, pool utilization counters,
-// and — the load-bearing guarantee — bit-identical run payloads whether
-// telemetry records or not: every engine reproduces one pinned digest with
-// no sink, with a phase sink, and with the flight recorder installed.
+// Telemetry subsystem tests: the JSON model and bench-report schema, phase
+// probes, pool utilization counters, and — the load-bearing guarantee —
+// bit-identical run payloads whether telemetry records or not: every
+// engine reproduces one pinned digest with no sink, with a phase sink, and
+// with the flight recorder installed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/init.h"
@@ -26,120 +25,12 @@
 #include "sim/parallel.h"
 #include "telemetry/json.h"
 #include "telemetry/jsonl.h"
-#include "telemetry/metrics.h"
 #include "telemetry/reporter.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace bitspread {
 namespace {
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-
-TEST(Metrics, CounterIncrementsAndReads) {
-  MetricsRegistry registry;
-  auto counter = registry.counter("unit.count");
-  EXPECT_EQ(counter.value(), 0u);
-  counter.increment();
-  counter.increment(41);
-  EXPECT_EQ(counter.value(), 42u);
-
-  // Same name, same counter.
-  auto again = registry.counter("unit.count");
-  again.increment(8);
-  EXPECT_EQ(counter.value(), 50u);
-
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.counters.count("unit.count"), 1u);
-  EXPECT_EQ(snapshot.counters.at("unit.count"), 50u);
-}
-
-TEST(Metrics, GaugeHoldsLastValue) {
-  MetricsRegistry registry;
-  auto gauge = registry.gauge("unit.level");
-  gauge.set(1.5);
-  gauge.set(-3.25);
-  EXPECT_DOUBLE_EQ(gauge.value(), -3.25);
-  EXPECT_DOUBLE_EQ(registry.snapshot().gauges.at("unit.level"), -3.25);
-}
-
-TEST(Metrics, HistogramBucketsAreExact) {
-  MetricsRegistry registry;
-  auto hist = registry.histogram("unit.latency", {1.0, 10.0, 100.0});
-  // <=1 | <=10 | <=100 | overflow
-  hist.observe(0.5);
-  hist.observe(1.0);  // Upper bounds are inclusive.
-  hist.observe(7.0);
-  hist.observe(99.0);
-  hist.observe(1000.0);
-  const auto snapshot = registry.snapshot();
-  const auto& h = snapshot.histograms.at("unit.latency");
-  ASSERT_EQ(h.counts.size(), 4u);
-  EXPECT_EQ(h.counts[0], 2u);
-  EXPECT_EQ(h.counts[1], 1u);
-  EXPECT_EQ(h.counts[2], 1u);
-  EXPECT_EQ(h.counts[3], 1u);  // Overflow bucket.
-  EXPECT_EQ(h.count, 5u);
-  EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.0 + 7.0 + 99.0 + 1000.0);
-}
-
-TEST(Metrics, ConcurrentIncrementsUnderSharedPoolAreExact) {
-  // The designed concurrency contract: every pool worker lands on its own
-  // thread-local shard, so counts are EXACT (no torn buckets, no lost
-  // updates) even though increments are lock-free.
-  constexpr int kItems = 20'000;
-  MetricsRegistry registry;
-  auto counter = registry.counter("pool.items");
-  auto hist = registry.histogram("pool.value", {0.25, 0.5, 0.75});
-  parallel_for(
-      kItems,
-      [&](int i) {
-        counter.increment();
-        hist.observe(static_cast<double>(i % 100) / 100.0);
-      },
-      /*max_threads=*/8);
-  EXPECT_EQ(counter.value(), static_cast<std::uint64_t>(kItems));
-  const auto snapshot = registry.snapshot();
-  const auto& h = snapshot.histograms.at("pool.value");
-  EXPECT_EQ(h.count, static_cast<std::uint64_t>(kItems));
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t c : h.counts) bucket_total += c;
-  EXPECT_EQ(bucket_total, static_cast<std::uint64_t>(kItems));
-  // i%100 in [0,100): 26 values <= 0.25, 25 in (0.25,0.5], 25 in (0.5,0.75],
-  // 24 above — times kItems/100 passes.
-  EXPECT_EQ(h.counts[0], static_cast<std::uint64_t>(kItems / 100 * 26));
-  EXPECT_EQ(h.counts[3], static_cast<std::uint64_t>(kItems / 100 * 24));
-}
-
-TEST(Metrics, ExitedThreadsKeepTheirContributions) {
-  MetricsRegistry registry;
-  auto counter = registry.counter("exit.count");
-  std::thread worker([&] {
-    for (int i = 0; i < 1000; ++i) counter.increment();
-  });
-  worker.join();
-  EXPECT_EQ(counter.value(), 1000u);
-  EXPECT_EQ(registry.snapshot().counters.at("exit.count"), 1000u);
-}
-
-TEST(Metrics, ResetZeroesEverything) {
-  MetricsRegistry registry;
-  auto counter = registry.counter("reset.count");
-  auto gauge = registry.gauge("reset.level");
-  auto hist = registry.histogram("reset.hist", {1.0});
-  counter.increment(7);
-  gauge.set(2.0);
-  hist.observe(0.5);
-  registry.reset();
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-  const auto snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.histograms.at("reset.hist").count, 0u);
-  // And the slots are still usable after a reset.
-  counter.increment();
-  EXPECT_EQ(counter.value(), 1u);
-}
 
 // ---------------------------------------------------------------------------
 // JSON model + bench report schema
@@ -193,9 +84,9 @@ TEST(Reporter, WrittenFileParsesAndValidates) {
   const std::string path = testing::TempDir() + "/BENCH_unit.json";
   JsonReporter reporter("unit_file");
   reporter.set_seed(7);
-  MetricsRegistry registry;
-  registry.counter("outcomes.total").increment(3);
-  reporter.set_metrics(registry.snapshot());
+  ReportMetrics outcomes;
+  outcomes.counters["outcomes.total"] = 3;
+  reporter.set_metrics(outcomes);
   ASSERT_TRUE(reporter.write_file(path));
 
   std::ifstream in(path);

@@ -1,45 +1,34 @@
 #!/usr/bin/env python3
-"""Compare two perf_smoke reports and fail on telemetry overhead.
+"""Compare perf_smoke reports run bare and under a live exporter.
 
 Usage:
-    check_telemetry_overhead.py BASELINE.json TELEMETRY.json [--max-regression R]
     check_telemetry_overhead.py --baseline B1.json B2.json ... \
-                                --telemetry T1.json T2.json ... [--max-regression R]
-    check_telemetry_overhead.py --exporter --baseline B1.json ... \
-                                --telemetry E1.json ... [--max-regression R]
+                                --telemetry E1.json E2.json ... [--max-regression R]
     check_telemetry_overhead.py --self-test
 
-With repeated reports per side (the --baseline/--telemetry list form), each
-benchmark compares the per-row MEDIAN items/sec across that side's runs.
-Median, not best-of: on burst-budgeted hosts the noise is two-sided —
+Both sides are unified bench reports ("bitspread-bench/1") written by one
+perf_smoke binary: the baseline run bare, the measured side (--telemetry)
+run under --listen= with a client polling /metrics. The measured side must
+carry pmu.exporter_active=true and the baseline must not, so the gate
+cannot silently measure nothing. The measured side must stay within
+`--max-regression` (default 5%) of the baseline throughput on every
+benchmark; a faster measured side always passes. The budget bounds the
+cost of the progress publishes plus concurrent scrapes. (What the
+sinkless probes cost is measured end to end by bench/e2e: every build
+compiles them.)
+
+Each benchmark compares the per-row MEDIAN items/sec across that side's
+runs. Median, not best-of: on burst-budgeted hosts the noise is two-sided —
 throttled windows slow a run down AND turbo windows spike one 30% above
 steady state — so a max-of-N estimate chases whichever side caught the one
 lucky spike and never converges. Single-shot comparison swings ±20% per
 row in both directions; CI takes three interleaved measurements per side,
 which the median makes robust to one outlier run on each side.
 
-Both inputs are unified bench reports ("bitspread-bench/1") written by
-perf_smoke: BASELINE without the cost under test, TELEMETRY (the measured
-side) with it — two builds of the program, or with --exporter one build
-run bare and under --listen=. The measured side must stay within
-`--max-regression` (default 5%) of the baseline throughput on every
-benchmark; a faster measured side always passes. (What the sinkless
-probes cost is measured end to end by bench/e2e, not here: every build
-compiles them.)
-
 Reports recorded while the SIGPROF sampling profiler was running
 (pmu.sampling_active in the report, set when --profile-out= was passed)
 are REJECTED as bad input: sampling interrupts perturb both sides of the
-comparison, and sampling is off by default precisely so this gate
-measures the probes alone. Reports predating the field are accepted.
-
-The same logic applies to the §3.9 introspection exporter: a report
-stamped pmu.exporter_active (recorded with --listen= serving scrapes) is
-rejected by default. `--exporter` inverts the check to gate the exporter
-itself: the measured side (--telemetry) must then carry
-pmu.exporter_active=true — a run with a live HTTP exporter being polled —
-while the baseline must NOT, and the budget bounds the cost of the
-progress publishes plus concurrent scrapes instead of the probe cost.
+comparison. Reports predating the field are accepted.
 
 Exit status 0 = within budget, 1 = regression, 2 = bad input.
 """
@@ -67,35 +56,25 @@ def reject_sampling(report, path):
         )
 
 
-def check_exporter(report, path, expect_exporter):
-    """Enforce the pmu.exporter_active stamp against the comparison mode.
-
-    expect_exporter is None for probe-overhead comparisons (an exporter
-    perturbs the measurement: reject), True for the measured side of an
-    --exporter comparison (the stamp must be present — otherwise the gate
-    silently measures nothing), False for its baseline. Reports predating
-    the field read as exporter-off."""
+def check_exporter(report, path, exporter):
+    """Enforce the pmu.exporter_active stamp: present on the measured side
+    (exporter=True) — otherwise the gate silently measures nothing — and
+    absent on the baseline. Reports predating the field read as
+    exporter-off."""
     pmu = report.get("pmu")
     active = bool(isinstance(pmu, dict) and pmu.get("exporter_active"))
-    if expect_exporter is None and active:
+    if exporter and not active:
         raise BadInput(
-            f"{path}: recorded with a live introspection exporter "
-            f"(--listen=); rerun without it, or pass --exporter to gate "
-            f"the exporter itself"
+            f"{path}: the measured side must be recorded with a live "
+            f"exporter (--listen= and pmu.exporter_active set)"
         )
-    if expect_exporter is True and not active:
+    if not exporter and active:
         raise BadInput(
-            f"{path}: --exporter gate needs the measured side recorded "
-            f"with a live exporter (--listen= and pmu.exporter_active set)"
-        )
-    if expect_exporter is False and active:
-        raise BadInput(
-            f"{path}: the baseline of an --exporter comparison must be "
-            f"recorded without a live exporter"
+            f"{path}: the baseline must be recorded without a live exporter"
         )
 
 
-def load_benchmarks(path, expect_exporter=None):
+def load_benchmarks(path, exporter):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -108,7 +87,7 @@ def load_benchmarks(path, expect_exporter=None):
     if not isinstance(report, dict) or report.get("schema") != "bitspread-bench/1":
         raise BadInput(f"{path}: not a bitspread-bench/1 report")
     reject_sampling(report, path)
-    check_exporter(report, path, expect_exporter)
+    check_exporter(report, path, exporter)
     benchmarks = report.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:
         raise BadInput(f"{path}: no benchmarks array")
@@ -125,13 +104,13 @@ def load_benchmarks(path, expect_exporter=None):
     return out
 
 
-def load_merged(paths, expect_exporter=None):
+def load_merged(paths, exporter):
     """Per-benchmark median items/sec across repeated runs of the same
     binary. Every file must be a valid, sampling-free report; rows appearing
     in any run count (the cross-side missing check still runs in compare)."""
     collected = {}
     for path in paths:
-        for name, ips in load_benchmarks(path, expect_exporter).items():
+        for name, ips in load_benchmarks(path, exporter).items():
             collected.setdefault(name, []).append(ips)
     return {name: statistics.median(vals) for name, vals in collected.items()}
 
@@ -171,9 +150,10 @@ def compare(baseline, telemetry, max_regression):
 # Self-test
 
 
-def _fake_report(scale):
+def _fake_report(scale, exporter=False):
     return {
         "schema": "bitspread-bench/1",
+        "pmu": {"available": True, "exporter_active": exporter},
         "benchmarks": [
             {"name": "agent_serial_step", "items_per_second": 4.0e7 * scale},
             {"name": "aggregate_step", "items_per_second": 3.0e6 * scale},
@@ -228,14 +208,14 @@ def self_test():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("{not json")
             try:
-                load_benchmarks(path)
+                load_benchmarks(path, False)
             except BadInput:
                 return
         raise AssertionError("malformed JSON must raise BadInput")
 
     def test_missing_file():
         try:
-            load_benchmarks("/nonexistent/report.json")
+            load_benchmarks("/nonexistent/report.json", False)
         except BadInput:
             return
         raise AssertionError("missing file must raise BadInput")
@@ -244,11 +224,11 @@ def self_test():
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sampled.json")
             report = _fake_report(1.0)
-            report["pmu"] = {"available": False, "sampling_active": True}
+            report["pmu"]["sampling_active"] = True
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh)
             try:
-                load_benchmarks(path)
+                load_benchmarks(path, False)
             except BadInput:
                 return
         raise AssertionError("sampling-active report must raise BadInput")
@@ -257,87 +237,69 @@ def self_test():
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "unsampled.json")
             report = _fake_report(1.0)
-            report["pmu"] = {"available": True, "sampling_active": False}
+            report["pmu"]["sampling_active"] = False
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh)
-            loaded = load_benchmarks(path)
+            loaded = load_benchmarks(path, False)
             assert "agent_serial_step" in loaded, "report must load"
 
-    def _write_reports(tmp, side, scales):
+    def _write_reports(tmp, side, scales, exporter):
         paths = []
         for i, scale in enumerate(scales):
             path = os.path.join(tmp, f"{side}{i}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(_fake_report(scale), fh)
+                json.dump(_fake_report(scale, exporter), fh)
             paths.append(path)
         return paths
+
+    def _merged(tmp, base_scales, measured_scales):
+        return (
+            load_merged(_write_reports(tmp, "base", base_scales, False),
+                        False),
+            load_merged(_write_reports(tmp, "meas", measured_scales, True),
+                        True),
+        )
 
     def test_median_survives_outlier_runs():
         # One outlier run per side — a 30% throttle on one, a 25% turbo
         # spike on the other — must not move the row estimate when the
         # remaining runs agree within budget.
         with tempfile.TemporaryDirectory() as tmp:
-            base = load_merged(_write_reports(tmp, "base", [1.0, 0.7, 0.99]))
-            tele = load_merged(_write_reports(tmp, "tele", [1.25, 0.97, 0.96]))
-            code, _ = compare(base, tele, 0.05)
+            base, meas = _merged(tmp, [1.0, 0.7, 0.99], [1.25, 0.97, 0.96])
+            code, _ = compare(base, meas, 0.05)
             assert code == 0, "median must discard one outlier per side"
 
     def test_median_keeps_real_regressions():
         with tempfile.TemporaryDirectory() as tmp:
-            base = load_merged(_write_reports(tmp, "base", [1.0, 0.98, 0.99]))
-            tele = load_merged(_write_reports(tmp, "tele", [0.90, 0.88, 0.89]))
-            code, _ = compare(base, tele, 0.05)
+            base, meas = _merged(tmp, [1.0, 0.98, 0.99], [0.90, 0.88, 0.89])
+            code, _ = compare(base, meas, 0.05)
             assert code == 1, "a slowdown present in every run must fail"
 
-    def _exporter_report(tmp, name, scale, active):
-        path = os.path.join(tmp, name)
-        report = _fake_report(scale)
-        report["pmu"] = {"available": True, "exporter_active": active}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh)
-        return path
-
-    def test_exporter_active_rejected_by_default():
+    def test_accepts_stamped_pair():
         with tempfile.TemporaryDirectory() as tmp:
-            path = _exporter_report(tmp, "exp.json", 1.0, True)
-            try:
-                load_benchmarks(path)
-            except BadInput:
-                return
-        raise AssertionError("exporter-active report must raise BadInput")
-
-    def test_exporter_mode_accepts_stamped_pair():
-        with tempfile.TemporaryDirectory() as tmp:
-            base = load_merged(
-                [_exporter_report(tmp, "base.json", 1.0, False)], False
-            )
-            meas = load_merged(
-                [_exporter_report(tmp, "exp.json", 0.97, True)], True
-            )
+            base, meas = _merged(tmp, [1.0], [0.97])
             code, _ = compare(base, meas, 0.05)
             assert code == 0, "3% exporter overhead must pass a 5% budget"
 
-    def test_exporter_mode_needs_stamp():
+    def test_measured_side_needs_stamp():
         with tempfile.TemporaryDirectory() as tmp:
-            path = _exporter_report(tmp, "plain.json", 1.0, False)
+            paths = _write_reports(tmp, "plain", [1.0], False)
             try:
-                load_merged([path], True)
+                load_merged(paths, True)
             except BadInput:
                 return
         raise AssertionError(
-            "--exporter measured side without the stamp must raise BadInput"
+            "a measured side without the stamp must raise BadInput"
         )
 
-    def test_exporter_mode_rejects_stamped_baseline():
+    def test_rejects_stamped_baseline():
         with tempfile.TemporaryDirectory() as tmp:
-            path = _exporter_report(tmp, "base.json", 1.0, True)
+            paths = _write_reports(tmp, "base", [1.0], True)
             try:
-                load_merged([path], False)
+                load_merged(paths, False)
             except BadInput:
                 return
-        raise AssertionError(
-            "--exporter baseline with the stamp must raise BadInput"
-        )
+        raise AssertionError("a stamped baseline must raise BadInput")
 
     def test_wrong_schema():
         with tempfile.TemporaryDirectory() as tmp:
@@ -345,7 +307,7 @@ def self_test():
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"schema": "something-else/1"}, fh)
             try:
-                load_benchmarks(path)
+                load_benchmarks(path, False)
             except BadInput:
                 return
         raise AssertionError("wrong schema must raise BadInput")
@@ -361,19 +323,9 @@ def self_test():
     case("sampling-off report is accepted", test_sampling_off_accepted)
     case("median discards outlier runs", test_median_survives_outlier_runs)
     case("median keeps real regressions", test_median_keeps_real_regressions)
-    case(
-        "exporter-active report rejected by default",
-        test_exporter_active_rejected_by_default,
-    )
-    case(
-        "--exporter accepts a correctly stamped pair",
-        test_exporter_mode_accepts_stamped_pair,
-    )
-    case("--exporter measured side needs the stamp", test_exporter_mode_needs_stamp)
-    case(
-        "--exporter rejects a stamped baseline",
-        test_exporter_mode_rejects_stamped_baseline,
-    )
+    case("a correctly stamped pair is accepted", test_accepts_stamped_pair)
+    case("the measured side needs the stamp", test_measured_side_needs_stamp)
+    case("a stamped baseline is rejected", test_rejects_stamped_baseline)
     case("wrong schema is a clean error", test_wrong_schema)
     if failures:
         print(f"self-test: {len(failures)} failure(s)", file=sys.stderr)
@@ -383,37 +335,31 @@ def self_test():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", nargs="?")
-    parser.add_argument("telemetry", nargs="?")
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "--baseline",
-        dest="baseline_runs",
         nargs="+",
         default=[],
         metavar="REPORT",
-        help="repeated baseline reports; the per-row median is compared",
+        help="bare perf_smoke reports; the per-row median is compared",
     )
     parser.add_argument(
         "--telemetry",
-        dest="telemetry_runs",
         nargs="+",
         default=[],
         metavar="REPORT",
-        help="repeated measured-side reports; the per-row median is compared",
+        help="perf_smoke reports recorded under --listen= with a live "
+        "poller (stamped pmu.exporter_active); the per-row median is "
+        "compared",
     )
     parser.add_argument(
         "--max-regression",
         type=float,
         default=0.05,
         help="maximum tolerated relative slowdown per benchmark (default 0.05)",
-    )
-    parser.add_argument(
-        "--exporter",
-        action="store_true",
-        help="gate exporter overhead: the --telemetry side must be stamped "
-        "pmu.exporter_active (recorded under --listen= with a live poller) "
-        "and the baseline must not",
     )
     parser.add_argument(
         "--self-test",
@@ -424,27 +370,12 @@ def main():
 
     if args.self_test:
         return self_test()
-    if (args.baseline or args.telemetry) and (
-        args.baseline_runs or args.telemetry_runs
-    ):
-        parser.error(
-            "use either the positional report pair or the "
-            "--baseline/--telemetry lists, not both"
-        )
-    base_paths = args.baseline_runs or ([args.baseline] if args.baseline else [])
-    tele_paths = (
-        args.telemetry_runs or ([args.telemetry] if args.telemetry else [])
-    )
-    if not base_paths or not tele_paths:
-        parser.error("baseline and telemetry reports are required")
+    if not args.baseline or not args.telemetry:
+        parser.error("--baseline and --telemetry reports are required")
 
     try:
-        baseline = load_merged(
-            base_paths, False if args.exporter else None
-        )
-        telemetry = load_merged(
-            tele_paths, True if args.exporter else None
-        )
+        baseline = load_merged(args.baseline, False)
+        telemetry = load_merged(args.telemetry, True)
         code, lines = compare(baseline, telemetry, args.max_regression)
     except BadInput as err:
         print(f"error: {err}", file=sys.stderr)
@@ -452,8 +383,7 @@ def main():
 
     print("\n".join(lines))
     if code != 0:
-        what = "exporter" if args.exporter else "telemetry"
-        print(f"{what} overhead exceeds budget", file=sys.stderr)
+        print("exporter overhead exceeds budget", file=sys.stderr)
     return code
 
 

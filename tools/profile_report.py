@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Render a BENCH_profile.json breakdown and flag IPC regressions.
+"""Render a BENCH_profile.json breakdown.
 
 Usage:
-    profile_report.py BENCH_profile.json [--history results/HISTORY.jsonl]
-        [--ipc-drop 0.15] [--min-entries 3] [--window 20] [--folded STACKS.txt]
+    profile_report.py BENCH_profile.json [--folded STACKS.txt]
     profile_report.py --self-test
 
 BENCH_profile.json is the "bitspread-bench/1" report written by
@@ -11,19 +10,16 @@ bench_profile: one "profiles" row per kernel backend, each carrying the
 whole-run counter totals plus the gather / fault / decide / commit
 sub-phase split (wall share, cycles, instructions, IPC, LLC-miss per
 agent-step) recorded by the §3.8 PMU subsystem. This tool renders the
-gather-vs-decide breakdown as a table and, when results/HISTORY.jsonl
-holds comparable entries (appended by bench_history.py), fails if any
-sub-phase IPC dropped more than --ipc-drop below the trailing median.
+gather-vs-decide breakdown as a table. Regressions are not its job:
+`bench_history.py gate` gates the same report's ipc.<backend>.<sub>
+columns against results/HISTORY.jsonl.
 
 The report degrades with the data: on a no-PMU host the rows carry
 rdtsc/steady_clock cycles and wall shares but no instruction counts, so
-the IPC columns print "-" and the regression gate passes vacuously with
-a note (wall-share drift is bench_history's job, not this tool's).
-With --folded the top stacks of a sampling-profiler folded file are
-appended to the breakdown.
+the IPC columns print "-". With --folded the top stacks of a
+sampling-profiler folded file are appended to the breakdown.
 
-Exit status: 0 = rendered (and within budget), 1 = IPC regression,
-2 = bad input.
+Exit status: 0 = rendered, 2 = bad input.
 """
 
 import argparse
@@ -33,10 +29,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import bench_history  # noqa: E402  (shared report/history plumbing)
-
-SUB_PHASES = ("gather", "fault", "decide", "commit")
-
+import bench_history  # noqa: E402  (shared report loading)
 
 class BadInput(Exception):
     """Input file missing, malformed, or not a bench_profile report."""
@@ -157,69 +150,10 @@ def render_folded(path, top=10):
 
 
 # ---------------------------------------------------------------------------
-# IPC regression gate (vs bench_history's HISTORY.jsonl trailing median)
-
-
-def ipc_metrics(report):
-    """The ipc.<backend>.<sub_phase> metrics this report carries."""
-    return {
-        name: value
-        for name, value in bench_history.extract_metrics(report).items()
-        if name.startswith("ipc.")
-    }
-
-
-def check_ipc(report, history_path, ipc_drop, min_entries, window):
-    """Returns (exit_code, lines): compares sub-phase IPC to history."""
-    lines = []
-    candidate = ipc_metrics(report)
-    if not candidate:
-        lines.append("ipc gate: report carries no IPC data (no-PMU host) "
-                     "— passing vacuously")
-        return 0, lines
-    key = bench_history.provenance_key(report)
-    history = bench_history.matching_entries(
-        bench_history.load_history(history_path), key
-    )
-    if window > 0:
-        history = history[-window:]
-    failures = []
-    lines.append(
-        f"ipc gate: {len(history)} comparable history entries, "
-        f"budget {ipc_drop:.0%} drop vs trailing median"
-    )
-    for name in sorted(candidate):
-        samples = [
-            e["metrics"][name]
-            for e in history
-            if isinstance(e.get("metrics", {}).get(name), (int, float))
-        ]
-        if len(samples) < min_entries:
-            lines.append(f"  {name:<28} ({len(samples)} entries — skipped)")
-            continue
-        base = bench_history.median(samples)
-        current = candidate[name]
-        drop = (base - current) / base if base > 0 else 0.0
-        verdict = "FAIL" if drop > ipc_drop else "OK"
-        if drop > ipc_drop:
-            failures.append(f"{name}: median {base:.3f} -> {current:.3f}")
-        lines.append(
-            f"  {name:<28} median {base:6.3f} current {current:6.3f} "
-            f"{-drop:+7.1%} {verdict}"
-        )
-    if failures:
-        lines.append("ipc gate: sub-phase IPC regression:\n  "
-                     + "\n  ".join(failures))
-        return 1, lines
-    lines.append("ipc gate: all sub-phase IPCs within budget")
-    return 0, lines
-
-
-# ---------------------------------------------------------------------------
 # Self-test
 
 
-def _fake_profile_report(ipc_scale=1.0, pmu=True):
+def _fake_profile_report(pmu=True):
     def sub(name, share, ipc):
         row = {
             "sub_phase": name,
@@ -229,8 +163,8 @@ def _fake_profile_report(ipc_scale=1.0, pmu=True):
             "cycles": int(share * 1e7),
         }
         if pmu:
-            row["instructions"] = int(share * 1e7 * ipc * ipc_scale)
-            row["ipc"] = ipc * ipc_scale
+            row["instructions"] = int(share * 1e7 * ipc)
+            row["ipc"] = ipc
             row["llc_miss_per_agent_step"] = 0.01
             row["mpki"] = 0.5
         return row
@@ -281,7 +215,6 @@ def self_test():
             print(f"  ok   {name}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        history = os.path.join(tmp, "HISTORY.jsonl")
 
         def write(path, **kwargs):
             with open(path, "w", encoding="utf-8") as fh:
@@ -290,12 +223,6 @@ def self_test():
 
         good = write(os.path.join(tmp, "good.json"))
         nopmu = write(os.path.join(tmp, "nopmu.json"), pmu=False)
-
-        def gate(path):
-            report = load_profile_report(path)
-            code, lines = check_ipc(report, history, 0.15, 3, 20)
-            print("\n".join("    | " + ln for ln in lines))
-            return code
 
         def test_render():
             lines = render_breakdown(load_profile_report(good))
@@ -308,30 +235,6 @@ def self_test():
             text = "\n".join(lines)
             assert "fallback" in text, "no-PMU report must say fallback"
             assert "gather" in text, "wall split must survive without PMU"
-
-        def test_vacuous_without_history():
-            assert gate(good) == 0, "empty history must pass vacuously"
-
-        def test_no_pmu_vacuous():
-            assert gate(nopmu) == 0, "a no-PMU report must pass vacuously"
-
-        def test_regression_flagged():
-            for i in range(3):
-                entry = bench_history.make_entry(
-                    _fake_profile_report(), f"c{i}", None
-                )
-                with open(history, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry) + "\n")
-            assert gate(good) == 0, "identical IPC must pass"
-            slow = write(os.path.join(tmp, "slow.json"), ipc_scale=0.5)
-            assert gate(slow) == 1, "a 50% IPC drop must fail"
-            fast = write(os.path.join(tmp, "fast.json"), ipc_scale=1.5)
-            assert gate(fast) == 0, "an IPC improvement must pass"
-
-        def test_no_pmu_vs_pmu_history():
-            # History has IPC columns, the candidate (no-PMU host) has
-            # none: must pass, not crash — CI runs on both kinds of host.
-            assert gate(nopmu) == 0, "no-PMU candidate vs PMU history"
 
         def test_folded():
             folded = os.path.join(tmp, "stacks.folded")
@@ -361,11 +264,6 @@ def self_test():
         print("profile_report self-test:")
         case("breakdown renders PMU report", test_render)
         case("breakdown renders no-PMU report", test_render_no_pmu)
-        case("vacuous pass without history", test_vacuous_without_history)
-        case("no-PMU report passes vacuously", test_no_pmu_vacuous)
-        case("IPC regression flagged vs history", test_regression_flagged)
-        case("no-PMU candidate vs PMU history passes",
-             test_no_pmu_vs_pmu_history)
         case("folded-stack top table", test_folded)
         case("bad inputs are clean errors", test_bad_inputs)
 
@@ -385,30 +283,6 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("report", nargs="?")
-    parser.add_argument(
-        "--history",
-        default="results/HISTORY.jsonl",
-        help="bench_history JSONL to compare IPC against "
-        "(default results/HISTORY.jsonl; missing file = vacuous pass)",
-    )
-    parser.add_argument(
-        "--ipc-drop",
-        type=float,
-        default=0.15,
-        help="max tolerated relative sub-phase IPC drop (default 0.15)",
-    )
-    parser.add_argument(
-        "--min-entries",
-        type=int,
-        default=3,
-        help="history entries per metric before the gate arms (default 3)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=20,
-        help="trailing history entries considered (default 20)",
-    )
     parser.add_argument(
         "--folded",
         default=None,
@@ -431,17 +305,12 @@ def main():
         if args.folded:
             lines.append("")
             lines.extend(render_folded(args.folded))
-        code, gate_lines = check_ipc(
-            report, args.history, args.ipc_drop, args.min_entries, args.window
-        )
     except BadInput as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     print("\n".join(lines))
-    print()
-    print("\n".join(gate_lines))
-    return code
+    return 0
 
 
 if __name__ == "__main__":
