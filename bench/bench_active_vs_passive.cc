@@ -32,9 +32,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E20", "active vs passive communication: the model boundary",
-               options);
+               options, reporter);
 
   const int max_exp = options.quick ? 12 : 15;
   const int reps = options.reps_or(options.quick ? 5 : 10);
@@ -93,14 +94,17 @@ void run(const BenchOptions& options) {
          voter_m.converged == reps ? Table::fmt(voter_m.rounds.mean(), 0)
                                    : "partial",
          minority_m.converged == 0
-             ? ">" + Table::fmt(minority_rule.max_rounds) + " (censored)"
+             ? std::string(">").append(Table::fmt(minority_rule.max_rounds))
+                   .append(" (censored)")
              : Table::fmt(minority_m.rounds.mean(), 0)});
     ns.push_back(static_cast<double>(n));
     epidemic_means.push_back(epidemic_rounds.mean());
   }
   table.print(std::cout);
+  reporter.add_table("regimes", table);
 
   const LinearFit fit = loglog_fit(ns, epidemic_means);
+  reporter.set_extra("epidemic_exponent", JsonValue(fit.slope));
   std::printf(
       "\nepidemic scaling exponent: %.3f (log-time: near 0 on a log-log "
       "fit; the\nepidemic/log2(n) column is the honest constant). Active "
@@ -125,6 +129,8 @@ void run(const BenchOptions& options) {
     rule.max_rounds = 2000;
     rule.stop_on_any_consensus = false;
     const RunResult r = engine.run(population, rule, rng);
+    reporter.set_extra("planted_final_fraction_correct",
+                       JsonValue(r.final_config.fraction_ones()));
     std::printf(
         "\nself-stabilization check: with n/2 falsely-informed wrong-opinion "
         "agents planted,\nthe epidemic ends at %.3f fraction correct after "
@@ -134,12 +140,12 @@ void run(const BenchOptions& options) {
         "self-stabilization + passivity\nas the defining constraints.\n",
         r.final_config.fraction_ones(), r.parallel_rounds());
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("active_vs_passive", argc, argv, bitspread::run);
 }

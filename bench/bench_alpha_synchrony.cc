@@ -24,11 +24,12 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E18",
                "alpha-synchrony: interpolating the sequential/parallel "
                "dichotomy",
-               options);
+               options, reporter);
 
   const std::uint64_t n = options.quick ? (1 << 12) : (1 << 14);
   const int reps = options.reps_or(options.quick ? 5 : 10);
@@ -67,13 +68,14 @@ void run(const BenchOptions& options) {
           {protocol->name(), Table::fmt(alpha, 3),
            std::to_string(m.converged) + "/" + std::to_string(reps),
            m.converged > 0 ? Table::fmt(m.rounds.mean(), 1) : "-",
-           m.converged > 0 ? Table::fmt(m.rounds.mean() * alpha, 1)
-                           : (">" + Table::fmt(
-                                  static_cast<double>(rule.max_rounds) * alpha,
-                                  0))});
+           m.converged > 0
+               ? Table::fmt(m.rounds.mean() * alpha, 1)
+               : std::string(">").append(Table::fmt(
+                     static_cast<double>(rule.max_rounds) * alpha, 0))});
     }
   }
   table.print(std::cout);
+  reporter.add_table("alpha_sweep", table);
   std::printf(
       "\nVoter is alpha-indifferent (its per-activation behavior doesn't "
       "depend on who\nelse moves). Minority is the opposite: where the "
@@ -82,12 +84,12 @@ void run(const BenchOptions& options) {
       "synchronicity' is not a 0/1 property of parallel vs sequential "
       "but\na quantitative threshold in alpha, which this table locates "
       "empirically.\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("alpha_synchrony", argc, argv, bitspread::run);
 }

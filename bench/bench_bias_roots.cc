@@ -28,9 +28,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E5", "Figures 2-3: bias polynomials, roots, case structure",
-               options);
+               options, reporter);
   constexpr std::uint64_t kN = 1 << 16;
 
   const VoterDynamics voter;
@@ -64,6 +65,7 @@ void run(const BenchOptions& options) {
   }
   std::printf("F_n(p) value series (the curves of Figures 2-3):\n");
   curve.print(std::cout);
+  reporter.add_table("bias_curves", curve);
 
   // Render the two emblematic curves like the paper's figures: minority
   // (Case 1) and 3-majority (Case 2) are sign mirrors of each other.
@@ -109,18 +111,19 @@ void run(const BenchOptions& options) {
   std::printf("\nroot structure and Case 1/2 classification (Theorem 12's "
               "construction):\n");
   table.print(std::cout);
+  reporter.add_table("case_structure", table);
   std::printf(
       "\nReading guide: Voter's F vanishes identically (Lemma 11). Minority "
       "is Case 1\n(F < 0 right of its middle root: it fights a large "
       "one-majority, so z = 1 is the\nslow instance, Figure 2); majority-"
       "family dynamics are Case 2 (F > 0 there: they\namplify the majority, "
       "so z = 0 is slow, Figure 3).\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("bias_roots", argc, argv, bitspread::run);
 }

@@ -23,11 +23,12 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E15",
                "conflicting sources (majority bit-dissemination): no "
                "stabilization, only tracking",
-               options);
+               options, reporter);
 
   const std::uint64_t n = options.quick ? (1 << 12) : (1 << 14);
   const std::uint64_t rounds = options.quick ? 20000 : 100000;
@@ -63,6 +64,7 @@ void run(const BenchOptions& options) {
     }
   }
   table.print(std::cout);
+  reporter.add_table("tracking", table);
   std::printf(
       "\nNo cell ever reaches (or could reach) a consensus: with both camps "
       "non-empty the\nones-count is pinned inside (0, n) forever — the "
@@ -72,12 +74,13 @@ void run(const BenchOptions& options) {
       "minority with sqrt(n ln n) samples ironically *fights* the majority "
       "camp\n(its one-round overshoot flips the free population each "
       "round).\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("conflicting_sources", argc, argv,
+                              bitspread::run);
 }

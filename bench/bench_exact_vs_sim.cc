@@ -29,16 +29,13 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
-  print_banner("E11", "exact Markov solves vs simulation", options);
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  print_banner("E11", "exact Markov solves vs simulation", options, reporter);
 
   const int reps = options.reps_or(options.quick ? 1500 : 6000);
   const SeedSequence seeds(options.seed);
 
-  JsonReporter reporter("exact_vs_sim");
-  reporter.set_experiment("E11");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("replicate_cap", JsonValue(reps));
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
 
@@ -158,13 +155,12 @@ void run(const BenchOptions& options) {
     quantiles.print(std::cout);
     reporter.add_table("voter_quantiles", quantiles);
   }
-  reporter.write_file(options.json_path.value_or("BENCH_exact_vs_sim.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("exact_vs_sim", argc, argv, bitspread::run);
 }

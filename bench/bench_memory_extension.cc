@@ -33,9 +33,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E12", "Discussion: bounded memory vs memory-less, equal l",
-               options);
+               options, reporter);
 
   const std::vector<int> exps = options.quick ? std::vector<int>{8, 10}
                                               : std::vector<int>{8, 10, 12};
@@ -104,6 +105,7 @@ void run(const BenchOptions& options) {
     }
   }
   table.print(std::cout);
+  reporter.add_table("memory_vs_memoryless", table);
   std::printf(
       "\nbudgets: polylog (20 log^2 n) for everything except voter "
       "(40 n log n).\nWhat to look for: at l = Theta(log n) no memory-less "
@@ -112,12 +114,12 @@ void run(const BenchOptions& options) {
       "(simplified [7]; their exact protocol has stronger\nguarantees). "
       "USD's single bit is majority-flavored and stays pinned wrong —\n"
       "memory alone is not enough, it must implement trend detection.\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("memory_extension", argc, argv, bitspread::run);
 }

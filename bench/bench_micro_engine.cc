@@ -14,7 +14,6 @@
 #include "engine/kernel/kernel.h"
 #include "engine/sequential.h"
 #include "engine/sharded.h"
-#include "obs/server.h"
 #include "profile/pmu.h"
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
@@ -125,11 +124,9 @@ void BM_ShardedStepKernelBackend(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   // Profiling provenance (kept on the kernel rows HISTORY.jsonl compares):
-  // whether this host granted hardware counters and whether an
-  // introspection exporter was serving scrapes while the rows were timed.
+  // whether this host granted hardware counters.
   state.counters["pmu_available"] =
       profile::thread_counters().available() ? 1.0 : 0.0;
-  state.counters["exporter_active"] = obs::exporter_active() ? 1.0 : 0.0;
 }
 BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, legacy,
                   kernel::Backend::kLegacy)

@@ -29,21 +29,18 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E4",
                "open question: minimal sample size for fast minority "
                "convergence",
-               options);
+               options, reporter);
 
   const std::vector<int> exps =
       options.quick ? std::vector<int>{12, 14} : std::vector<int>{12, 14, 16, 18};
   const int reps = options.reps_or(options.quick ? 8 : 16);
   const SeedSequence seeds(options.seed);
 
-  JsonReporter reporter("minority_ell_sweep");
-  reporter.set_experiment("E4");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("replicates", JsonValue(reps));
   reporter.set_workload("n_exponents", JsonValue(exps.size()));
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
@@ -128,14 +125,12 @@ void run(const BenchOptions& options) {
           1e-9);
   reporter.add_table("ell_sweep", table);
   reporter.add_table("thresholds", threshold_table);
-  reporter.write_file(
-      options.json_path.value_or("BENCH_minority_ell_sweep.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("minority_ell_sweep", argc, argv, bitspread::run);
 }

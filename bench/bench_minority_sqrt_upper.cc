@@ -24,11 +24,12 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E3",
                "SODA'24 upper bound: minority with l = sqrt(n ln n) is "
                "polylog-fast",
-               options);
+               options, reporter);
 
   const int max_exp = options.quick ? 16 : 22;
   const int reps = options.reps_or(options.quick ? 10 : 25);
@@ -64,6 +65,8 @@ void run(const BenchOptions& options) {
     }
   }
   table.print(std::cout);
+  reporter.add_table("sqrt_sample_convergence", table);
+  reporter.set_extra("all_solved", JsonValue(all_solved));
   std::printf(
       "\nall cells solved: %s. T / log^2 n stays bounded (in fact shrinks) "
       "while n grows %llux:\nthe parallel setting with a large sample size "
@@ -71,12 +74,13 @@ void run(const BenchOptions& options) {
       "the paper wants to pin down.\n",
       all_solved ? "YES" : "NO",
       static_cast<unsigned long long>(grid.back() / grid.front()));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("minority_sqrt_upper", argc, argv,
+                              bitspread::run);
 }

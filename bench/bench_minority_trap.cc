@@ -29,11 +29,12 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E17",
                "the minority trap: quasi-stationary shape and exponential "
                "escape",
-               options);
+               options, reporter);
 
   // Beyond n ~ 44 the escape probability 1 - lambda sinks below double
   // precision (lambda rounds to 1.0) — the exponential wall is literally
@@ -67,8 +68,14 @@ void run(const BenchOptions& options) {
     log_escape.push_back(std::log(qsd.expected_escape_rounds()));
   }
   table.print(std::cout);
+  reporter.add_table("quasi_stationary", table);
 
   const LinearFit fit = ols_fit(ns_d, log_escape);
+  JsonValue fit_json = JsonValue::object();
+  fit_json.set("intercept", JsonValue(fit.intercept));
+  fit_json.set("rate", JsonValue(fit.slope));
+  fit_json.set("r_squared", JsonValue(fit.r_squared));
+  reporter.set_extra("log_escape_fit", std::move(fit_json));
   std::printf(
       "\nfit: log(escape time) ~ %.3f + %.4f * n (R^2 = %.4f) — the escape "
       "time grows like\ne^{%.4f n}: exponential, not merely the n^{1-eps} "
@@ -77,12 +84,12 @@ void run(const BenchOptions& options) {
       "around the mean-field trap. The exact absorption times from\nn/2 "
       "track 1/(1-lambda), confirming the eigenvalue picture.\n",
       fit.intercept, fit.slope, fit.r_squared, fit.slope);
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("minority_trap", argc, argv, bitspread::run);
 }

@@ -26,9 +26,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E16", "footnote 2: the multi-opinion generalization",
-               options);
+               options, reporter);
 
   const SeedSequence seeds(options.seed);
 
@@ -55,6 +56,7 @@ void run(const BenchOptions& options) {
     std::printf("the binary reduction (3 opinions, {0,1} populated, "
                 "k-minority l=3):\n");
     table.print(std::cout);
+    reporter.add_table("binary_reduction", table);
     std::printf("\n");
   }
 
@@ -107,6 +109,7 @@ void run(const BenchOptions& options) {
                 "n = %llu):\n",
                 static_cast<unsigned long long>(n));
     table.print(std::cout);
+    reporter.add_table("k_ary_even_split", table);
   }
   std::printf(
       "\nThe reduction columns agree to full precision and the unseen "
@@ -115,12 +118,12 @@ void run(const BenchOptions& options) {
       "at the symmetric mix (the Theorem 1\nphenomenon, now with a "
       "(1/m,...,1/m) trap), while k-voter still solves the\nproblem in "
       "voter time.\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("multi_opinion", argc, argv, bitspread::run);
 }

@@ -12,11 +12,11 @@
 // until epsilon overwhelms the sqrt(n log n) sample.
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/init.h"
@@ -24,6 +24,9 @@
 #include "faults/environment.h"
 #include "protocols/minority.h"
 #include "protocols/voter.h"
+#include "random/seeding.h"
+#include "sim/cli.h"
+#include "sim/table.h"
 
 namespace bitspread {
 namespace {
@@ -61,7 +64,8 @@ std::uint64_t voter_cap(std::uint64_t n) {
 
 Cell run_cell(const MemorylessProtocol& protocol, const std::string& name,
               std::uint64_t n, double epsilon, double zealots,
-              std::uint64_t max_rounds, int replicates, std::uint64_t seed0) {
+              std::uint64_t max_rounds, int replicates,
+              const SeedSequence& seeds, std::uint64_t cell_index) {
   Cell cell;
   cell.protocol = name;
   cell.n = n;
@@ -84,7 +88,7 @@ Cell run_cell(const MemorylessProtocol& protocol, const std::string& name,
   double initial_sum = 0.0, post_flip_sum = 0.0;
   const auto start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < replicates; ++rep) {
-    Rng rng(seed0 + static_cast<std::uint64_t>(rep));
+    Rng rng = seeds.stream(cell_index, static_cast<std::uint64_t>(rep));
     const RunResult result =
         engine.run(init_all_wrong(n, Opinion::kOne), rule, model, rng);
     cell.converged += result.converged();
@@ -110,20 +114,9 @@ Cell run_cell(const MemorylessProtocol& protocol, const std::string& name,
   return cell;
 }
 
-}  // namespace
-}  // namespace bitspread
-
-int main(int argc, char** argv) {
-  using namespace bitspread;
-
-  bool quick = std::getenv("BITSPREAD_QUICK") != nullptr;
-  std::string out_path = "BENCH_robustness.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-  }
-
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  const bool quick = options.quick;
   const std::vector<std::uint64_t> sizes =
       quick ? std::vector<std::uint64_t>{1u << 10, 1u << 12}
             : std::vector<std::uint64_t>{1u << 10, 1u << 12, 1u << 14,
@@ -134,7 +127,10 @@ int main(int argc, char** argv) {
   const std::vector<double> zealot_grid =
       quick ? std::vector<double>{0.0, 0.1}
             : std::vector<double>{0.0, 0.05, 0.1};
-  const int replicates = quick ? 2 : 5;
+  const int replicates = options.reps_or(quick ? 2 : 5);
+  const SeedSequence seeds(options.seed);
+  reporter.set_workload("quorum", JsonValue(kQuorum));
+  reporter.set_workload("replicates", JsonValue(replicates));
 
   const VoterDynamics voter;
   const MinorityDynamics minority(SampleSizePolicy::sqrt_n_log_n());
@@ -146,7 +142,6 @@ int main(int argc, char** argv) {
                                         {&minority, "minority_sqrt"}};
 
   std::vector<Cell> cells;
-  std::uint64_t cell_index = 0;
   for (const Entry& entry : protocols) {
     for (const std::uint64_t n : sizes) {
       const std::uint64_t cap =
@@ -154,95 +149,54 @@ int main(int argc, char** argv) {
       for (const double eps : eps_grid) {
         for (const double z : zealot_grid) {
           cells.push_back(run_cell(*entry.protocol, entry.name, n, eps, z,
-                                   cap, replicates,
-                                   /*seed0=*/777'000 + 1000 * cell_index));
-          ++cell_index;
+                                   cap, replicates, seeds, cells.size()));
         }
       }
     }
   }
 
-#ifdef NDEBUG
-  const char* build_type = "Release";
-#else
-  const char* build_type = "Debug";
-#endif
-
-  std::ofstream out(out_path);
-  out.precision(6);
-  out << "{\n"
-      << "  \"schema\": \"bitspread-noise-recovery/1\",\n"
-      << "  \"build_type\": \"" << build_type << "\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"quorum\": " << kQuorum << ",\n"
-      << "  \"replicates\": " << replicates << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    out << "    {\"protocol\": \"" << c.protocol << "\", \"n\": " << c.n
-        << ", \"epsilon\": " << c.epsilon << ", \"zealots\": " << c.zealots
-        << ", \"flip_round\": " << c.flip_round
-        << ", \"max_rounds\": " << c.max_rounds
-        << ", \"converged\": " << c.converged
-        << ", \"censored\": " << c.censored
-        << ", \"degraded\": " << c.degraded
-        << ", \"initial_recovered\": " << c.initial_recovered
-        << ", \"initial_mean_rounds\": " << c.initial_mean_rounds
-        << ", \"post_flip_recovered\": " << c.post_flip_recovered
-        << ", \"post_flip_mean_rounds\": " << c.post_flip_mean_rounds
-        << ", \"seconds\": " << c.seconds << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  int voter_clean = 0, voter_faulty = 0, minority_clean = 0,
-      minority_faulty = 0;
-  int voter_clean_total = 0, voter_faulty_total = 0, minority_clean_total = 0,
-      minority_faulty_total = 0;
+  std::cout << "bench_noise_recovery (quorum=" << kQuorum
+            << ", flip at cap/2)\n";
+  Table table({"protocol", "n", "epsilon", "zealots", "flip_round",
+               "max_rounds", "converged", "censored", "degraded",
+               "initial_recovered", "initial_mean_rounds",
+               "post_flip_recovered", "post_flip_mean_rounds", "seconds"});
+  double seconds = 0.0;
+  // Convergence rate per protocol, fault-free cells vs faulty ones:
+  // converged runs and all runs under keys like "voter_clean".
+  std::map<std::string, std::pair<int, int>> rates;
   for (const Cell& c : cells) {
-    const bool faulty = c.epsilon > 0.0 || c.zealots > 0.0;
-    const bool is_voter = c.protocol == "voter";
-    (is_voter ? (faulty ? voter_faulty : voter_clean)
-              : (faulty ? minority_faulty : minority_clean)) += c.converged;
-    (is_voter ? (faulty ? voter_faulty_total : voter_clean_total)
-              : (faulty ? minority_faulty_total : minority_clean_total)) +=
-        c.replicates;
+    table.add_row({c.protocol, Table::fmt(c.n), Table::fmt(c.epsilon, 2),
+                   Table::fmt(c.zealots, 2), Table::fmt(c.flip_round),
+                   Table::fmt(c.max_rounds), std::to_string(c.converged),
+                   std::to_string(c.censored), std::to_string(c.degraded),
+                   std::to_string(c.initial_recovered),
+                   Table::fmt(c.initial_mean_rounds, 1),
+                   std::to_string(c.post_flip_recovered),
+                   Table::fmt(c.post_flip_mean_rounds, 1),
+                   Table::fmt(c.seconds, 4)});
+    seconds += c.seconds;
+    auto& [converged, runs] =
+        rates[std::string(c.protocol == "voter" ? "voter" : "minority") +
+              (c.epsilon > 0.0 || c.zealots > 0.0 ? "_faulty" : "_clean")];
+    converged += c.converged;
+    runs += c.replicates;
   }
-  auto rate = [](int ok, int total) {
-    return total > 0 ? static_cast<double>(ok) / total : 0.0;
-  };
-  out << "  ],\n"
-      << "  \"derived\": {\n"
-      << "    \"voter_clean_convergence_rate\": "
-      << rate(voter_clean, voter_clean_total) << ",\n"
-      << "    \"voter_faulty_convergence_rate\": "
-      << rate(voter_faulty, voter_faulty_total) << ",\n"
-      << "    \"minority_clean_convergence_rate\": "
-      << rate(minority_clean, minority_clean_total) << ",\n"
-      << "    \"minority_faulty_convergence_rate\": "
-      << rate(minority_faulty, minority_faulty_total) << "\n"
-      << "  }\n"
-      << "}\n";
-  out.close();
-  if (!out) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
+  table.print(std::cout);
+  reporter.add_table("cells", table);
+  reporter.add_phase("simulate", seconds, cells.size());
+  JsonValue derived = JsonValue::object();
+  for (const auto& [key, tally] : rates) {
+    derived.set(key + "_convergence_rate",
+                JsonValue(static_cast<double>(tally.first) / tally.second));
   }
-
-  std::cout << "bench_noise_recovery (" << build_type
-            << ", quorum=" << kQuorum << ", flip at cap/2)\n";
-  std::printf("  %-14s %7s %5s %5s | %4s %4s %4s | %12s %12s\n", "protocol",
-              "n", "eps", "z", "conv", "cens", "degr", "init rounds",
-              "recov rounds");
-  for (const Cell& c : cells) {
-    std::printf("  %-14s %7llu %5.2f %5.2f | %4d %4d %4d | %12.1f %12.1f\n",
-                c.protocol.c_str(),
-                static_cast<unsigned long long>(c.n), c.epsilon, c.zealots,
-                c.converged, c.censored, c.degraded, c.initial_mean_rounds,
-                c.post_flip_mean_rounds);
-  }
-  std::cout << "wrote " << out_path << "\n";
-#ifndef NDEBUG
-  std::cout << "WARNING: Debug build — numbers are not comparable with the "
-               "recorded perf trajectory.\n";
-#endif
+  reporter.set_extra("derived", std::move(derived));
   return 0;
+}
+
+}  // namespace
+}  // namespace bitspread
+
+int main(int argc, char** argv) {
+  return bitspread::run_bench("robustness", argc, argv, bitspread::run);
 }

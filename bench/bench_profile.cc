@@ -12,7 +12,11 @@
 //
 // Each backend is ALSO run without any sink installed and the final
 // configurations are compared: profiling must never perturb a simulation
-// (the kernel golden digests pin the same property at full depth).
+// (the kernel golden digests pin the same property at full depth). That run
+// is timed too, so every row states what its probes cost (probe_overhead =
+// profiled / unprofiled seconds - 1): the kernel rows' per-word marks take
+// four readings per 64-agent word, and their sub-phase shares are measured
+// under that load.
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -44,6 +48,7 @@ constexpr telemetry::Phase kSubPhases[] = {
 struct BackendProfile {
   kernel::Backend backend = kernel::Backend::kLegacy;
   double seconds = 0.0;
+  double unprofiled_seconds = 0.0;  // The same run without sinks.
   std::uint64_t agent_steps = 0;
   std::uint64_t final_ones = 0;
   bool identical_unprofiled = false;
@@ -53,19 +58,16 @@ struct BackendProfile {
   // build; exact for this bench because it runs threads=1 workloads whose
   // pool inlines single-item generations onto the caller).
   profile::CounterDelta total;
+
+  // What the probes cost this run, as a fraction of the unprofiled time.
+  double probe_overhead() const {
+    return unprofiled_seconds > 0.0 ? seconds / unprofiled_seconds - 1.0
+                                    : 0.0;
+  }
 };
 
-}  // namespace
-}  // namespace bitspread
-
-int main(int argc, char** argv) {
-  using namespace bitspread;
-
-  BenchOptions options = parse_bench_options(argc, argv);
-  const std::string out_path =
-      options.json_path.value_or("BENCH_profile.json");
-  FlightRecorderScope flight_recorder(options.recorder);
-
+int run(const BenchOptions& options, FlightRecorderScope& flight_recorder,
+        JsonReporter& reporter) {
   const std::uint64_t n = options.quick ? (1u << 14) : (1u << 16);
   const std::uint64_t rounds = options.quick ? 64 : 256;
   const MinorityDynamics minority(3);
@@ -76,7 +78,6 @@ int main(int argc, char** argv) {
   StopRule rule;
   rule.max_rounds = rounds;
   rule.stop_on_any_consensus = false;
-  const std::uint64_t seed = options.seed != 0 ? options.seed : 7;
 
   profile::PmuCounterSet& counters = profile::thread_counters();
   const bool pmu_available = counters.available();
@@ -93,10 +94,13 @@ int main(int argc, char** argv) {
     const ShardedAgentEngine engine(minority, {.threads = 1, .kernel = backend});
 
     // Reference run, no sinks: the payload profiling must not perturb.
-    const RunResult reference = engine.run(init, rule, seed);
-
     BackendProfile& profile = profiles.emplace_back();
     profile.backend = backend;
+    const auto reference_start = telemetry::clock_now_ns();
+    const RunResult reference = engine.run(init, rule, options.seed);
+    profile.unprofiled_seconds =
+        static_cast<double>(telemetry::clock_now_ns() - reference_start) *
+        1e-9;
     profile::CounterSnapshot begin;
     profile::CounterSnapshot end;
     RunResult result;
@@ -105,7 +109,7 @@ int main(int argc, char** argv) {
           {.phases = &profile.phases, .pmu = &profile.pmu});
       counters.read(begin);
       const auto start = telemetry::clock_now_ns();
-      result = engine.run(init, rule, seed);
+      result = engine.run(init, rule, options.seed);
       profile.seconds =
           static_cast<double>(telemetry::clock_now_ns() - start) * 1e-9;
       counters.read(end);
@@ -130,9 +134,6 @@ int main(int argc, char** argv) {
     return p.backend != kernel::Backend::kLegacy;
   };
 
-  JsonReporter reporter("profile");
-  reporter.set_seed(seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("protocol", JsonValue("minority"));
   reporter.set_workload("n", JsonValue(n));
   reporter.set_workload("ell", JsonValue(ell));
@@ -155,6 +156,8 @@ int main(int argc, char** argv) {
     row.set("pmu_available", JsonValue(pmu_available));
     row.set("subphase_markers", JsonValue(has_markers(p)));
     row.set("seconds", JsonValue(p.seconds));
+    row.set("unprofiled_seconds", JsonValue(p.unprofiled_seconds));
+    row.set("probe_overhead", JsonValue(p.probe_overhead()));
     row.set("agent_steps", JsonValue(p.agent_steps));
     row.set("agent_steps_per_second",
             JsonValue(p.seconds > 0.0
@@ -236,20 +239,18 @@ int main(int argc, char** argv) {
                        p.seconds, rounds);
   }
   reporter.set_extra("profiles", std::move(rows));
-  if (flight_recorder.recorder() != nullptr) {
-    reporter.set_flight_recorder(*flight_recorder.recorder());
-  }
-  if (!reporter.write_file(out_path)) return 1;
 
   std::cout << "bench_profile (n=" << n << ", l=" << ell
             << ", rounds=" << rounds << ", pmu="
             << (pmu_available ? "available" : "fallback") << ")\n";
   for (const BackendProfile& p : profiles) {
-    std::printf("  %-12s %8.3f M agent-steps/s\n",
+    std::printf("  %-12s %8.3f M agent-steps/s  (probes %+.0f%% over %.4fs "
+                "unprofiled)\n",
                 kernel::backend_name(p.backend),
                 p.seconds > 0.0
                     ? static_cast<double>(p.agent_steps) / p.seconds / 1e6
-                    : 0.0);
+                    : 0.0,
+                100.0 * p.probe_overhead(), p.unprofiled_seconds);
     if (!has_markers(p)) continue;
     double kernel_wall = 0.0;
     for (const telemetry::Phase phase : kSubPhases) {
@@ -261,6 +262,12 @@ int main(int argc, char** argv) {
                   kernel_wall > 0.0 ? 100.0 * wall / kernel_wall : 0.0, wall);
     }
   }
-  std::cout << "wrote " << out_path << "\n";
   return 0;
+}
+
+}  // namespace
+}  // namespace bitspread
+
+int main(int argc, char** argv) {
+  return bitspread::run_bench("profile", argc, argv, bitspread::run);
 }

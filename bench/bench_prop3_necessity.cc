@@ -55,9 +55,10 @@ LeakStats watch_consensus(const MemorylessProtocol& protocol, std::uint64_t n,
   return stats;
 }
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E8", "Proposition 3: consensus maintenance is necessary",
-               options);
+               options, reporter);
 
   const std::uint64_t n = options.quick ? (1 << 12) : (1 << 14);
   const std::uint64_t horizon = options.quick ? 2000 : 10000;
@@ -92,6 +93,7 @@ void run(const BenchOptions& options) {
     }
   }
   table.print(std::cout);
+  reporter.add_table("consensus_maintenance", table);
 
   std::printf(
       "\nCompliant protocols hold the consensus for the whole horizon "
@@ -99,12 +101,12 @@ void run(const BenchOptions& options) {
       "0.001, or only g[1](l) = 0.995 — leaks\nimmediately (~n * violation "
       "agents flip per round), so tau = +infinity a.s., exactly\nas the "
       "proposition argues.\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("prop3_necessity", argc, argv, bitspread::run);
 }

@@ -27,17 +27,15 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
-  print_banner("E9", "Proposition 4: the one-round jump bound", options);
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  print_banner("E9", "Proposition 4: the one-round jump bound", options,
+               reporter);
 
   const std::uint64_t n = options.quick ? (1 << 14) : (1 << 16);
   const int trials = options.reps_or(options.quick ? 3000 : 20000);
   const SeedSequence seeds(options.seed);
 
-  JsonReporter reporter("prop4_jump");
-  reporter.set_experiment("E9");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("n", JsonValue(n));
   reporter.set_workload("trials_per_cell", JsonValue(trials));
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
@@ -102,13 +100,12 @@ void run(const BenchOptions& options) {
   reporter.set_extra("any_violation", JsonValue(any_violation));
   reporter.set_extra("failure_bound", JsonValue(proposition4_failure(n)));
   reporter.add_table("jump_bound", table);
-  reporter.write_file(options.json_path.value_or("BENCH_prop4_jump.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("prop4_jump", argc, argv, bitspread::run);
 }

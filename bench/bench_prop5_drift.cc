@@ -20,7 +20,6 @@
 #include "protocols/two_choice.h"
 #include "protocols/voter.h"
 #include "random/seeding.h"
-#include "sim/seeds.h"
 #include "sim/cli.h"
 #include "sim/table.h"
 #include "telemetry/reporter.h"
@@ -28,17 +27,15 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
-  print_banner("E10", "Proposition 5: the drift identity, exact", options);
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  print_banner("E10", "Proposition 5: the drift identity, exact", options,
+               reporter);
 
   const std::vector<std::uint64_t> ns =
       options.quick ? std::vector<std::uint64_t>{40, 80}
                     : std::vector<std::uint64_t>{40, 80, 160, 320};
 
-  JsonReporter reporter("prop5_drift");
-  reporter.set_experiment("E10");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("n_max", JsonValue(ns.back()));
   const std::uint64_t exact_start_ns = telemetry::clock_now_ns();
 
@@ -47,7 +44,7 @@ void run(const BenchOptions& options) {
   const MinorityDynamics minority4(4);
   const ThreeMajorityDynamics three_majority;
   const TwoChoiceDynamics two_choice;
-  Rng proto_rng(SeedSequence(master_seed_from_env()).derive("prop5-random"));
+  Rng proto_rng(SeedSequence(options.seed).derive("prop5-random"));
   const CustomProtocol random_proto = random_protocol(proto_rng, 4);
   const std::vector<const MemorylessProtocol*> protocols{
       &voter, &minority3, &minority4, &three_majority, &two_choice,
@@ -86,13 +83,12 @@ void run(const BenchOptions& options) {
       static_cast<double>(telemetry::clock_now_ns() - exact_start_ns) * 1e-9);
   reporter.set_extra("all_ok", JsonValue(all_ok));
   reporter.add_table("drift_identity", table);
-  reporter.write_file(options.json_path.value_or("BENCH_prop5_drift.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("prop5_drift", argc, argv, bitspread::run);
 }

@@ -30,8 +30,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
-  print_banner("E19", "adversarial search over the protocol space", options);
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  print_banner("E19", "adversarial search over the protocol space", options,
+               reporter);
 
   const std::uint32_t ell = 3;
   const std::uint64_t calibration_n = 20;
@@ -77,6 +79,7 @@ void run(const BenchOptions& options) {
   }
   std::printf("exact worst-case expected convergence times:\n");
   exact_table.print(std::cout);
+  reporter.add_table("exact_worst_case", exact_table);
   std::printf(
       "note: the champion does not beat Voter even at its own calibration "
       "size, and the\ngap widens with n — consistent with zero bias "
@@ -114,8 +117,12 @@ void run(const BenchOptions& options) {
   }
   std::printf("\nchampion at scale (all-wrong start):\n");
   sim_table.print(std::cout);
+  reporter.add_table("champion_at_scale", sim_table);
+  reporter.set_extra("candidates_evaluated",
+                     JsonValue(result.candidates_evaluated));
   if (ns.size() >= 2) {
     const LinearFit fit = loglog_fit(ns, means);
+    reporter.set_extra("champion_exponent", JsonValue(fit.slope));
     std::printf(
         "\nchampion scaling: T ~ %.2f * n^%.3f (R^2 = %.3f). The best "
         "protocol an exact-score\noptimizer finds still pays (at least) "
@@ -128,12 +135,12 @@ void run(const BenchOptions& options) {
         "away from the\ncalibration size — even 'optimized' protocols obey "
         "the lower bound.\n");
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("protocol_search", argc, argv, bitspread::run);
 }

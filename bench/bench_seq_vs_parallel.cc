@@ -30,8 +30,10 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
-  print_banner("E7", "sequential vs parallel: the exponential gap", options);
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
+  print_banner("E7", "sequential vs parallel: the exponential gap", options,
+               reporter);
 
   const int max_exp = options.quick ? 9 : 11;
   const int reps = options.reps_or(options.quick ? 5 : 10);
@@ -80,6 +82,7 @@ void run(const BenchOptions& options) {
     std::printf("voter, X0 = n/2, z = 1 (sequential exact from the "
                 "birth-death solve):\n");
     table.print(std::cout);
+    reporter.add_table("voter", table);
     std::printf("\n");
   }
 
@@ -127,6 +130,7 @@ void run(const BenchOptions& options) {
     }
     std::printf("minority with l = sqrt(n ln n), X0 = n/2, z = 1:\n");
     table.print(std::cout);
+    reporter.add_table("minority_sqrt", table);
   }
   std::printf(
       "\nVoter: sequential/parallel within a small constant of each other "
@@ -135,12 +139,12 @@ void run(const BenchOptions& options) {
       "sequential cannot finish 500x that budget — synchronous updates\nare "
       "what make the overshoot mechanism work (the [14] vs [15] "
       "dichotomy).\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("seq_vs_parallel", argc, argv, bitspread::run);
 }

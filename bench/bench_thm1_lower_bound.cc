@@ -48,20 +48,23 @@ namespace {
 constexpr double kEpsilon = 0.5;
 constexpr double kCapFactor = 4.0;  // Cap: 4n rounds.
 
-void run(const BenchOptions& options) {
+// The phase sink the report reads. main installs it outside the front
+// door's recorder scope, so --trace prints this sink too.
+telemetry::PhaseStats phase_stats;
+
+// The flight recorder (--trace-out= / --stream-out=) records the
+// slow-crossing timeline this bench exists to study.
+int run(const BenchOptions& options, FlightRecorderScope& flight_recorder,
+        JsonReporter& reporter) {
   print_banner(
       "E2", "Theorem 1: constant-l protocols cross intervals in Omega(n^1-e)",
-      options);
+      options, reporter);
 
   const int max_exp = options.quick ? 13 : 16;
   const int reps = options.reps_or(options.quick ? 5 : 10);
   const auto grid = power_of_two_grid(10, max_exp);
   const SeedSequence seeds(options.seed);
 
-  JsonReporter reporter("thm1_lower_bound");
-  reporter.set_experiment("E2");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("epsilon", JsonValue(kEpsilon));
   reporter.set_workload("cap_factor", JsonValue(kCapFactor));
   reporter.set_workload("n_max", JsonValue(grid.back()));
@@ -69,14 +72,6 @@ void run(const BenchOptions& options) {
 
   // The ledger's tallies become the report's metrics block.
   OutcomeLedger ledger;
-  telemetry::PhaseStats phase_stats;
-  // Outlives the flight recorder's scope below, which nests inside it and
-  // adds its trace and stream to this bundle.
-  const telemetry::SinkScope phase_sink({.phases = &phase_stats});
-  // Flight recorder (--trace-out= / --stream-out=): records the slow-crossing
-  // timeline this bench exists to study. Destroyed (and files written) after
-  // the report.
-  FlightRecorderScope flight_recorder(options.recorder);
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
 
   Rng proto_rng(seeds.derive("random-protocol"));
@@ -146,8 +141,9 @@ void run(const BenchOptions& options) {
           {protocol->name(), to_string(analysis.bias_case), Table::fmt(n),
            Table::fmt(floor, 0), Table::fmt(rule.max_rounds),
            std::to_string(m.converged) + "/" + std::to_string(cell_reps),
-           m.converged > 0 ? Table::fmt(min_cross, 0)
-                           : (">" + Table::fmt(rule.max_rounds)),
+           m.converged > 0
+               ? Table::fmt(min_cross, 0)
+               : std::string(">").append(Table::fmt(rule.max_rounds)),
            m.converged == cell_reps ? Table::fmt(m.rounds.mean(), 0)
                                     : "censored",
            Table::fmt(fast_fraction, 3), floor_ok ? "yes" : "NO"});
@@ -184,19 +180,16 @@ void run(const BenchOptions& options) {
 
   reporter.add_phase("simulate", simulate_seconds);
   reporter.add_phase_stats(phase_stats);
-  if (flight_recorder.recorder() != nullptr) {
-    reporter.set_flight_recorder(*flight_recorder.recorder());
-  }
   reporter.set_metrics(ledger.metrics());
   reporter.add_table("interval_crossing", table);
-  reporter.write_file(
-      options.json_path.value_or("BENCH_thm1_lower_bound.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  const bitspread::telemetry::SinkScope phase_sink(
+      {.phases = &bitspread::phase_stats});
+  return bitspread::run_bench("thm1_lower_bound", argc, argv, bitspread::run);
 }

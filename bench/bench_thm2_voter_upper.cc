@@ -57,9 +57,14 @@ std::uint64_t dual_coalescence_time(std::uint64_t n, Rng& rng,
   return cap;
 }
 
-void run(const BenchOptions& options) {
+// The phase sink the report reads. main installs it outside the front
+// door's recorder scope, so --trace prints this sink too.
+telemetry::PhaseStats phase_stats;
+
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E1", "Theorem 2: Voter solves bit-dissemination in O(n log n)",
-               options);
+               options, reporter);
 
   const int max_exp = options.quick ? 11 : 14;
   const int reps = options.reps_or(options.quick ? 5 : 15);
@@ -68,20 +73,11 @@ void run(const BenchOptions& options) {
   const VoterDynamics voter;
   const AggregateParallelEngine engine(voter);
 
-  JsonReporter reporter("thm2_voter_upper");
-  reporter.set_experiment("E1");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("protocol", JsonValue("voter"));
   reporter.set_workload("n_max", JsonValue(grid.back()));
   reporter.set_workload("reps", JsonValue(std::int64_t{reps}));
 
   OutcomeLedger ledger;
-  telemetry::PhaseStats phase_stats;
-  // Outlives the flight recorder's scope below, which nests inside it and
-  // adds its trace and stream to this bundle.
-  const telemetry::SinkScope phase_sink({.phases = &phase_stats});
-  FlightRecorderScope flight_recorder(options.recorder);
 
   Table table({"n", "reps", "mean T", "median", "p90", "T/(n ln n)",
                "dual mean", "dual/(n ln n)"});
@@ -142,19 +138,16 @@ void run(const BenchOptions& options) {
   reporter.add_phase("simulate", simulate_seconds);
   reporter.add_phase("dual", dual_seconds);
   reporter.add_phase_stats(phase_stats);
-  if (flight_recorder.recorder() != nullptr) {
-    reporter.set_flight_recorder(*flight_recorder.recorder());
-  }
   reporter.set_metrics(ledger.metrics());
   reporter.add_table("voter_convergence", table);
-  reporter.write_file(
-      options.json_path.value_or("BENCH_thm2_voter_upper.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  const bitspread::telemetry::SinkScope phase_sink(
+      {.phases = &bitspread::phase_stats});
+  return bitspread::run_bench("thm2_voter_upper", argc, argv, bitspread::run);
 }

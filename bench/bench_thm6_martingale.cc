@@ -80,16 +80,13 @@ DecompositionResult decompose(const MinorityDynamics& protocol,
   return result;
 }
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("E6", "Figure 1 / Theorem 6: the Doob decomposition, measured",
-               options);
+               options, reporter);
 
   const MinorityDynamics protocol(3);
 
-  JsonReporter reporter("thm6_martingale");
-  reporter.set_experiment("E6");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
 
   // Part 1: one annotated trajectory at n = 2^14.
   const std::uint64_t figure_start_ns = telemetry::clock_now_ns();
@@ -193,14 +190,12 @@ void run(const BenchOptions& options) {
       static_cast<double>(telemetry::clock_now_ns() - sweep_start_ns) * 1e-9);
   reporter.set_extra("epsilon", JsonValue(kEpsilon));
   reporter.add_table("confinement", table);
-  reporter.write_file(
-      options.json_path.value_or("BENCH_thm6_martingale.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("thm6_martingale", argc, argv, bitspread::run);
 }

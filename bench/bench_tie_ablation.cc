@@ -29,17 +29,14 @@
 namespace bitspread {
 namespace {
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("ablation", "tie-breaking policies and sample-size parity",
-               options);
+               options, reporter);
   const std::uint64_t n = options.quick ? (1 << 12) : (1 << 14);
   const int reps = options.reps_or(options.quick ? 8 : 16);
   const SeedSequence seeds(options.seed);
 
-  JsonReporter reporter("tie_ablation");
-  reporter.set_experiment("ablation");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("n", JsonValue(n));
   reporter.set_workload("replicates", JsonValue(reps));
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
@@ -130,7 +127,6 @@ void run(const BenchOptions& options) {
       "simulate",
       static_cast<double>(telemetry::clock_now_ns() - simulate_start_ns) *
           1e-9);
-  reporter.write_file(options.json_path.value_or("BENCH_tie_ablation.json"));
   std::printf(
       "\nTakeaways: the tie rule changes the protocol's F_n (and whether it "
       "is oblivious),\nbut not its Case classification; minority's parity "
@@ -138,12 +134,12 @@ void run(const BenchOptions& options) {
       "near it); both majority tie rules tip off the\nbalanced sourceless "
       "start in ~10 rounds, keep-own marginally faster (its ties\npreserve "
       "whatever asymmetry the first fluctuation creates).\n");
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("tie_ablation", argc, argv, bitspread::run);
 }

@@ -131,9 +131,10 @@ std::uint64_t ring_voter_consensus_time(const AgentParallelEngine& engine,
   return cap;
 }
 
-void run(const BenchOptions& options) {
+int run(const BenchOptions& options, FlightRecorderScope&,
+        JsonReporter& reporter) {
   print_banner("T1", "Topology seam: spread off the complete graph",
-               options);
+               options, reporter);
 
   const std::uint64_t n = options.quick ? (1u << 12) : (1u << 14);
   const std::uint32_t side =
@@ -142,10 +143,6 @@ void run(const BenchOptions& options) {
   const std::uint32_t degree = 8;
   const double er_p = static_cast<double>(2 * degree) / static_cast<double>(n);
 
-  JsonReporter reporter("topology");
-  reporter.set_experiment("T1");
-  reporter.set_seed(options.seed);
-  reporter.set_quick(options.quick);
   reporter.set_workload("protocol", JsonValue("minority"));
   reporter.set_workload("n", JsonValue(n));
   reporter.set_workload("horizon", JsonValue(horizon));
@@ -283,13 +280,12 @@ void run(const BenchOptions& options) {
   reporter.add_phase("voter_dual", dual_seconds);
   reporter.add_table("topology_spread", spread_table);
   reporter.add_table("ring_duality", dual_table);
-  reporter.write_file(options.json_path.value_or("BENCH_topology.json"));
+  return 0;
 }
 
 }  // namespace
 }  // namespace bitspread
 
 int main(int argc, char** argv) {
-  bitspread::run(bitspread::parse_bench_options(argc, argv));
-  return 0;
+  return bitspread::run_bench("topology", argc, argv, bitspread::run);
 }

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -67,23 +66,9 @@ Measurement measure(const std::string& name, unsigned threads_requested,
   return m;
 }
 
-}  // namespace
-}  // namespace bitspread
-
-int main(int argc, char** argv) {
-  using namespace bitspread;
-
-  bool quick = std::getenv("BITSPREAD_QUICK") != nullptr;
-  std::string out_path = "BENCH_engine.json";
-  FlightRecorderOptions recorder_options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    recorder_options.parse_flag(arg);
-  }
-  FlightRecorderScope flight_recorder(recorder_options);
-
+int run(const BenchOptions& options, FlightRecorderScope& flight_recorder,
+        JsonReporter& reporter) {
+  const bool quick = options.quick;
   const std::uint64_t n = quick ? (1u << 14) : (1u << 17);
   const std::uint64_t rounds = quick ? 96 : 256;
   const MinorityDynamics minority(3);
@@ -100,17 +85,17 @@ int main(int argc, char** argv) {
       ShardedAgentEngine::kBlockAgents);
 
   std::vector<Measurement> results;
+  const SeedSequence seeds(options.seed);
 
   {
     const MemorylessAsStateful adapter(minority);
     const AgentParallelEngine engine(adapter);
     auto population = engine.make_population(init);
-    Rng rng(1);
+    Rng rng(seeds.derive("agent_serial_step"));
     results.push_back(measure("agent_serial_step", 1, 1, rounds,
                               updates_per_round,
                               [&](std::uint64_t) { engine.step(population, rng); }));
   }
-  const SeedSequence seeds(2);
   for (const unsigned threads : {1u, hw}) {
     const ShardedAgentEngine engine(minority, {.threads = threads});
     auto population = engine.make_population(init);
@@ -154,7 +139,7 @@ int main(int argc, char** argv) {
     // Aggregate-engine reference: the same dynamics at O(l) per round.
     const AggregateParallelEngine engine(minority);
     Configuration config = init;
-    Rng rng(3);
+    Rng rng(seeds.derive("aggregate_step"));
     results.push_back(measure("aggregate_step", 1, 1, agg_rounds, 1,
                               [&](std::uint64_t round) {
                                 config = engine.step(config, rng);
@@ -166,7 +151,7 @@ int main(int argc, char** argv) {
     // Alpha-synchronous aggregate step: adds the activation-thinning draws.
     const AlphaSynchronousEngine engine(minority, 0.5);
     Configuration config = init;
-    Rng rng(4);
+    Rng rng(seeds.derive("alpha_sync_step"));
     results.push_back(measure("alpha_sync_step", 1, 1, agg_rounds, 1,
                               [&](std::uint64_t round) {
                                 config = engine.step(config, rng);
@@ -179,7 +164,7 @@ int main(int argc, char** argv) {
     // round. No reset: with both camps non-empty no consensus exists.
     const ConflictingAggregateEngine engine(minority);
     ConflictingConfiguration config{n, n / 2, 2, 2};
-    Rng rng(5);
+    Rng rng(seeds.derive("conflicting_step"));
     results.push_back(measure("conflicting_step", 1, 1, agg_rounds, 1,
                               [&](std::uint64_t round) {
                                 config = engine.step(config, rng);
@@ -205,9 +190,6 @@ int main(int argc, char** argv) {
   const char* build_type = "Debug";
 #endif
 
-  JsonReporter reporter("engine");
-  reporter.set_seed(0);  // Fixed internal seeds (1, 2, 3); no --seed knob.
-  reporter.set_quick(quick);
   reporter.set_workload("protocol", JsonValue("minority"));
   reporter.set_workload("n", JsonValue(n));
   reporter.set_workload("ell", JsonValue(ell));
@@ -272,10 +254,6 @@ int main(int argc, char** argv) {
                               : 0.0));
   pool_json.set("utilization", JsonValue(pool.utilization()));
   reporter.set_extra("worker_pool", std::move(pool_json));
-  if (flight_recorder.recorder() != nullptr) {
-    reporter.set_flight_recorder(*flight_recorder.recorder());
-  }
-  if (!reporter.write_file(out_path)) return 1;
 
   std::cout << "perf_smoke (" << build_type << ", n=" << n << ", l=" << ell
             << ", host_concurrency=" << hw << ")\n";
@@ -290,10 +268,16 @@ int main(int argc, char** argv) {
   std::printf("  kernel/legacy speedup:  %.2fx (auto backend: %s)\n",
               legacy_print_rate > 0 ? sharded1 / legacy_print_rate : 0.0,
               kernel::backend_name(kernel::resolve(kernel::Backend::kAuto)));
-  std::cout << "wrote " << out_path << "\n";
 #ifndef NDEBUG
   std::cout << "WARNING: Debug build — numbers are not comparable with the "
                "recorded perf trajectory.\n";
 #endif
   return 0;
+}
+
+}  // namespace
+}  // namespace bitspread
+
+int main(int argc, char** argv) {
+  return bitspread::run_bench("engine", argc, argv, bitspread::run);
 }

@@ -89,10 +89,27 @@ BenchOptions parse_bench_options(int argc, char** argv) {
 }
 
 void print_banner(const std::string& experiment_id, const std::string& title,
-                  const BenchOptions& options) {
+                  const BenchOptions& options, JsonReporter& reporter) {
   std::cout << "=== " << experiment_id << ": " << title << " ===\n"
             << "seed=" << options.seed
             << (options.quick ? " (quick mode)" : "") << "\n\n";
+  reporter.set_experiment(experiment_id);
+}
+
+int run_bench(const std::string& name, int argc, char** argv,
+              const BenchBody& body) {
+  const BenchOptions options = parse_bench_options(argc, argv);
+  FlightRecorderScope scope(options.recorder);
+  JsonReporter reporter(name);
+  reporter.set_seed(options.seed);
+  reporter.set_quick(options.quick);
+  const int status = body(options, scope, reporter);
+  if (scope.recorder() != nullptr) {
+    reporter.set_flight_recorder(*scope.recorder());
+  }
+  const bool written = reporter.write_file(
+      options.json_path.value_or("BENCH_" + name + ".json"));
+  return status != 0 ? status : (written ? 0 : 1);
 }
 
 void OutcomeLedger::add(const ConvergenceMeasurement& measurement) {

@@ -1,10 +1,16 @@
 // Shared command-line handling for the bench/experiment binaries.
 //
-// Every bench accepts:
+// Every bench binary (bench/*.cc apart from the two google-benchmark ones,
+// which take google-benchmark's flags) enters through run_bench() and
+// accepts every flag below. The examples parse FlightRecorderOptions and
+// build the scope themselves.
+//
+// Bench flags:
 //   --quick          smaller grids / fewer replicates (also BITSPREAD_QUICK=1)
 //   --seed=<u64>     master seed (also BITSPREAD_SEED)
 //   --reps=<int>     replicate override
-//   --json=<path>    override the destination of the unified JSON report
+//   --json=<path>    destination of the unified JSON report (default
+//                    BENCH_<name>.json)
 //
 // Flight-recorder flags (benches and examples):
 //   --trace                print a per-phase timing table on exit
@@ -116,9 +122,9 @@ struct BenchOptions {
 
 BenchOptions parse_bench_options(int argc, char** argv);
 
-// Standard experiment banner.
+// Standard experiment banner; also stamps `experiment_id` on the report.
 void print_banner(const std::string& experiment_id, const std::string& title,
-                  const BenchOptions& options);
+                  const BenchOptions& options, JsonReporter& reporter);
 
 // Accumulates run outcomes across an experiment so binaries report
 // right-censoring EXPLICITLY (a silently truncated mean understates the
@@ -230,6 +236,21 @@ class FlightRecorderScope {
   // All of the above that runs feed, installed as one bundle.
   std::optional<telemetry::SinkScope> sinks_;
 };
+
+// A bench binary's experiment: it runs, prints its tables and fills
+// `reporter`. Returns 0 on success.
+using BenchBody = std::function<int(const BenchOptions& options,
+                                    FlightRecorderScope& flight_recorder,
+                                    JsonReporter& reporter)>;
+
+// The one entry point of every bench binary. It parses the shared flags
+// once, builds the one FlightRecorderScope they ask for, and runs `body`
+// with a report stamped with `name`, the seed and quick mode. When the body
+// returns it attaches the flight recorder's accounting, writes the report to
+// --json= (default BENCH_<name>.json) and ends the scope. Returns non-zero
+// if the body failed or the report could not be written.
+int run_bench(const std::string& name, int argc, char** argv,
+              const BenchBody& body);
 
 }  // namespace bitspread
 

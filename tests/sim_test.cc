@@ -4,11 +4,15 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/init.h"
+#include "engine/aggregate.h"
+#include "protocols/voter.h"
 #include "sim/cli.h"
 #include "sim/experiment.h"
 #include "sim/seeds.h"
@@ -114,12 +118,92 @@ TEST(Cli, DefaultsWhenNoArgs) {
 }
 
 TEST(Cli, QuickFromEnvironment) {
-  setenv("BITSPREAD_QUICK", "1", 1);
   const char* argv[] = {"bench"};
-  const BenchOptions options =
-      parse_bench_options(1, const_cast<char**>(argv));
-  EXPECT_TRUE(options.quick);
+  setenv("BITSPREAD_QUICK", "1", 1);
+  EXPECT_TRUE(parse_bench_options(1, const_cast<char**>(argv)).quick);
+  setenv("BITSPREAD_QUICK", "0", 1);
+  EXPECT_FALSE(parse_bench_options(1, const_cast<char**>(argv)).quick);
   unsetenv("BITSPREAD_QUICK");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// run_bench on a command line; `args` excludes the program name.
+int run_bench_with(std::vector<std::string> args, const BenchBody& body) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return run_bench("front_door", static_cast<int>(argv.size()), argv.data(),
+                   body);
+}
+
+TEST(Cli, RunBenchWritesReportTraceAndStream) {
+  const std::string dir = testing::TempDir();
+  const std::string json = dir + "/front_door.json";
+  const std::string trace = dir + "/front_door_trace.json";
+  const std::string stream = dir + "/front_door_stream.jsonl";
+  std::uint64_t rounds = 0;
+  const int status = run_bench_with(
+      {"--quick", "--seed=7", "--json=" + json, "--trace-out=" + trace,
+       "--stream-out=" + stream},
+      [&](const BenchOptions& options, FlightRecorderScope&,
+          JsonReporter& reporter) {
+        const VoterDynamics voter;
+        const AggregateParallelEngine engine(voter);
+        StopRule rule;
+        rule.max_rounds = 50;
+        Rng rng(options.seed);
+        rounds = engine.run(init_all_wrong(256, Opinion::kOne), rule, rng)
+                     .rounds();
+        Table table({"rounds"});
+        table.add_row({Table::fmt(rounds)});
+        reporter.add_table("run", table);
+        return 0;
+      });
+  EXPECT_EQ(status, 0);
+
+  const auto report = JsonValue::parse(read_file(json));
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(validate_bench_report(*report).empty());
+  EXPECT_EQ(report->find("bench")->as_string(), "front_door");
+  EXPECT_EQ(report->find("seed")->as_uint(), 7u);
+  EXPECT_TRUE(report->find("quick")->as_bool());
+  const JsonValue* tables = report->find("tables");
+  ASSERT_NE(tables, nullptr);
+  ASSERT_EQ(tables->items().size(), 1u);
+  EXPECT_EQ(tables->items()[0].find("title")->as_string(), "run");
+  EXPECT_NE(report->find("flight_recorder"), nullptr);
+
+  EXPECT_TRUE(JsonValue::parse(read_file(trace)).has_value());
+  // One line per round, round 0 (the start) included.
+  std::istringstream lines(read_file(stream));
+  std::uint64_t expected_round = 0;
+  for (std::string line; std::getline(lines, line); ++expected_round) {
+    const auto parsed = JsonValue::parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(parsed->find("round")->as_uint(), expected_round);
+  }
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(expected_round, rounds + 1);
+}
+
+TEST(Cli, RunBenchFailsOnUnwritableReportOrFailedBody) {
+  const auto ok_body = [](const BenchOptions&, FlightRecorderScope&,
+                          JsonReporter&) { return 0; };
+  EXPECT_NE(run_bench_with({"--quick", "--json=" + testing::TempDir() +
+                                           "/no-such-dir/report.json"},
+                           ok_body),
+            0);
+  const std::string json = testing::TempDir() + "/front_door_failed.json";
+  EXPECT_EQ(run_bench_with({"--quick", "--json=" + json},
+                           [](const BenchOptions&, FlightRecorderScope&,
+                              JsonReporter&) { return 3; }),
+            3);
 }
 
 TEST(Seeds, EnvOverride) {

@@ -46,9 +46,13 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 RESULT_PREFIX = "LONGRUN "
 INTERRUPTED_PREFIX = "LONGRUN-INTERRUPTED"
+# How long a catchable signal waits for the child to install its handler
+# before it is sent anyway (a child that never catches it then fails).
+HANDLER_WAIT_S = 10.0
 
 
 class HarnessError(Exception):
@@ -80,11 +84,26 @@ def was_interrupted(stdout):
     )
 
 
+def catches(pid, signum):
+    """True once process `pid` has a handler for `signum` (the SigCgt mask
+    of /proc/<pid>/status); None when /proc cannot tell."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("SigCgt:"):
+                    return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def run_child(cmd, kill_after=None, kill_signal=signal.SIGKILL, timeout=600):
     """Runs `cmd`; when kill_after is set, delivers kill_signal after that
-    many seconds (no-op if the child finished first). Returns
-    (returncode, stdout, stderr, killed) with killed = the timer fired
-    while the child was still alive."""
+    many seconds (no-op if the child finished first). A catchable signal's
+    delay counts from the moment the child has installed its handler (up to
+    HANDLER_WAIT_S after the start), so a slow start-up cannot turn a
+    graceful stop into a kill. Returns (returncode, stdout, stderr, killed)
+    with killed = the signal went out while the child was still alive."""
     proc = subprocess.Popen(
         cmd,
         stdout=subprocess.PIPE,
@@ -92,24 +111,33 @@ def run_child(cmd, kill_after=None, kill_signal=signal.SIGKILL, timeout=600):
         text=True,
     )
     state = {"killed": False}
-    timer = None
+    done = threading.Event()
+    sender = None
     if kill_after is not None:
 
         def fire():
-            if proc.poll() is None:
-                state["killed"] = True
-                try:
-                    proc.send_signal(kill_signal)
-                except ProcessLookupError:
-                    state["killed"] = False
+            if kill_signal != signal.SIGKILL:
+                deadline = time.monotonic() + HANDLER_WAIT_S
+                while (catches(proc.pid, kill_signal) is False
+                       and time.monotonic() < deadline
+                       and not done.wait(0.001)):
+                    pass
+            if done.wait(kill_after) or proc.poll() is not None:
+                return
+            state["killed"] = True
+            try:
+                proc.send_signal(kill_signal)
+            except ProcessLookupError:
+                state["killed"] = False
 
-        timer = threading.Timer(kill_after, fire)
-        timer.start()
+        sender = threading.Thread(target=fire, daemon=True)
+        sender.start()
     try:
         stdout, stderr = proc.communicate(timeout=timeout)
     finally:
-        if timer is not None:
-            timer.cancel()
+        done.set()
+        if sender is not None:
+            sender.join()
         if proc.poll() is None:
             proc.kill()
             proc.wait()

@@ -9,8 +9,10 @@ BENCH_profile.json is the "bitspread-bench/1" report written by
 bench_profile: one "profiles" row per kernel backend, each carrying the
 whole-run counter totals plus the gather / fault / decide / commit
 sub-phase split (wall share, cycles, instructions, IPC, LLC-miss per
-agent-step) recorded by the §3.8 PMU subsystem. This tool renders the
-gather-vs-decide breakdown as a table. Regressions are not its job:
+agent-step) recorded by the §3.8 PMU subsystem, and what the probes cost:
+the profiled run's seconds against the same run without sinks
+(probe_overhead). This tool renders the gather-vs-decide breakdown as a
+table. Regressions are not its job:
 `bench_history.py gate` gates the same report's ipc.<backend>.<sub>
 columns against results/HISTORY.jsonl.
 
@@ -80,6 +82,12 @@ def render_breakdown(report):
             f"{_fmt(row.get('agent_steps_per_second', 0) / 1e6, '8.2f')} M "
             f"agent-steps/s over {_fmt(row.get('seconds'), '.3f')}s"
         )
+        if "probe_overhead" in row:
+            lines.append(
+                f"  probe overhead: {_fmt(row['probe_overhead'], '+.1%')} "
+                f"over {_fmt(row.get('unprofiled_seconds'), '.3f')}s "
+                f"unprofiled"
+            )
         subs = row.get("sub_phases")
         if not subs:
             lines.append("  (no sub-phase markers: legacy loop)")
@@ -187,6 +195,8 @@ def _fake_profile_report(pmu=True):
                 "pmu_available": pmu,
                 "subphase_markers": True,
                 "seconds": 0.04,
+                "unprofiled_seconds": 0.01,
+                "probe_overhead": 3.0,
                 "agent_steps": 1048512,
                 "agent_steps_per_second": 2.6e7,
                 "identical_to_unprofiled": True,
@@ -229,6 +239,8 @@ def self_test():
             text = "\n".join(lines)
             assert "gather" in text and "ipc" in text, "breakdown incomplete"
             assert "gather/decide wall ratio" in text, "missing ratio line"
+            assert "probe overhead: +300.0% over 0.010s" in text, (
+                "missing probe overhead line")
 
         def test_render_no_pmu():
             lines = render_breakdown(load_profile_report(nopmu))
