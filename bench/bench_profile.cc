@@ -5,10 +5,11 @@
 // (legacy + every backend this host can dispatch) with the PMU sink and the
 // phase sink installed, and writes BENCH_profile.json: per-backend
 // gather/decide/fault/commit sub-phase rows with cycles, instructions, IPC,
-// and LLC-miss-per-agent-step — the numbers ROADMAP item 1 needs to steer
-// the gather vectorization. See DESIGN.md §3.8 for the fallback ladder;
-// on a no-PMU host the report is still valid and carries
-// pmu_available:false (rows degrade to wall time + rdtsc cycles).
+// and LLC-miss-per-agent-step — the numbers that steered the gather
+// vectorization (the kernel's AVX2 and AVX-512 index rows, DESIGN.md §3.6).
+// See DESIGN.md §3.8 for the fallback ladder; on a no-PMU host the report
+// is still valid and carries pmu_available:false (rows degrade to wall
+// time + rdtsc cycles).
 //
 // Each backend is ALSO run without any sink installed and the final
 // configurations are compared: profiling must never perturb a simulation

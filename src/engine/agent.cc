@@ -75,24 +75,6 @@ struct AgentFaultyStepper {
   std::uint64_t churned() const noexcept { return churn_events; }
 };
 
-// Sequential activation stepper: birth-death increments, no recount.
-struct AgentActivationStepper {
-  const AgentSequentialEngine& engine;
-  AgentParallelEngine::Population& population;
-  Rng& rng;
-  Configuration state;
-  std::uint64_t samples = 0;
-
-  Configuration& config() noexcept { return state; }
-  void step(std::uint64_t /*tick*/) {
-    state.ones = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(state.ones) +
-        engine.activate(population, rng));
-    samples += engine.protocol().sample_size(state.n);
-  }
-  std::uint64_t samples_drawn() const noexcept { return samples; }
-};
-
 }  // namespace
 
 std::uint64_t AgentParallelEngine::Population::count_ones() const noexcept {
@@ -252,39 +234,6 @@ RunResult AgentParallelEngine::run_population(Population& population,
                                               Trajectory* trajectory) const {
   AgentPopulationStepper stepper{*this, population, rng, population.config()};
   return RunDriver(TimePolicy::parallel()).run(stepper, rule, trajectory);
-}
-
-int AgentSequentialEngine::activate(Population& population, Rng& rng) const {
-  const std::uint64_t n = population.views.size();
-  const std::uint32_t ell = protocol_->sample_size(n);
-  const std::uint64_t non_source = n - population.sources;
-  const std::uint64_t agent = population.sources + rng.next_below(non_source);
-  // The activation pick above stays uniform (global scheduler); only the
-  // observations route through the topology seam. Complete branch replays
-  // the legacy l draws from [0, n) verbatim.
-  const Topology& topo =
-      topology_ != nullptr ? *topology_ : population.uniform;
-  std::uint32_t ones_seen = 0;
-  topo.sample_neighbors(agent, ell, rng, [&](std::uint64_t index) noexcept {
-    ones_seen += to_int(population.views[index].opinion);
-  });
-  const Opinion before = population.views[agent].opinion;
-  population.views[agent] =
-      protocol_->update(population.views[agent], ones_seen, ell, n, rng);
-  return to_int(population.views[agent].opinion) - to_int(before);
-}
-
-RunResult AgentSequentialEngine::run(Configuration config,
-                                     const StopRule& rule, Rng& rng,
-                                     Trajectory* trajectory) const {
-  Population population = make_population(config);
-  // The displayed ones-count changes by at most one per activation; track it
-  // incrementally instead of recounting.
-  Configuration current = config;
-  current.ones = population.count_ones();
-  AgentActivationStepper stepper{*this, population, rng, current};
-  return RunDriver(TimePolicy::activations(config.n))
-      .run(stepper, rule, trajectory);
 }
 
 }  // namespace bitspread

@@ -12,9 +12,9 @@
 
 #include "core/configuration.h"
 #include "core/stateful.h"
-#include "engine/sequential.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
+#include "faults/environment.h"
 #include "random/floyd.h"
 #include "random/rng.h"
 #include "topology/topology.h"
@@ -119,45 +119,6 @@ class AgentParallelEngine {
 
   const StatefulProtocol* protocol_;
   Sampling sampling_;
-  const Topology* topology_ = nullptr;
-};
-
-// Sequential activation for stateful protocols: one uniformly chosen
-// non-source agent samples and updates per step. Completes the engine
-// matrix (parallel/sequential x aggregate/agent); e.g. classic
-// undecided-state-dynamics analyses use exactly this scheduler.
-class AgentSequentialEngine {
- public:
-  // Topology semantics match AgentParallelEngine: null = complete graph,
-  // bit-identical to the pre-topology engine; structured graphs restrict the
-  // activated agent's observations to its CSR row (the activation pick
-  // itself stays uniform over non-sources — the scheduler is global).
-  explicit AgentSequentialEngine(const StatefulProtocol& protocol,
-                                 const Topology* topology = nullptr) noexcept
-      : protocol_(&protocol), topology_(topology) {}
-
-  using Population = AgentParallelEngine::Population;
-
-  Population make_population(const Configuration& config) const {
-    return AgentParallelEngine(*protocol_,
-                               AgentParallelEngine::Sampling::kWithReplacement,
-                               topology_)
-        .make_population(config);
-  }
-
-  // One activation, in place; returns the change in the displayed
-  // ones-count (-1, 0, or +1 — the birth-death structure of §1).
-  int activate(Population& population, Rng& rng) const;
-
-  // StopRule::max_rounds is in PARALLEL rounds (n activations each); the
-  // result reports TimeUnit::kActivations.
-  RunResult run(Configuration config, const StopRule& rule, Rng& rng,
-                Trajectory* trajectory = nullptr) const;
-
-  const StatefulProtocol& protocol() const noexcept { return *protocol_; }
-
- private:
-  const StatefulProtocol* protocol_;
   const Topology* topology_ = nullptr;
 };
 

@@ -19,7 +19,6 @@
 #include "core/protocol.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
-#include "faults/environment.h"
 #include "random/rng.h"
 
 namespace bitspread {
@@ -37,17 +36,6 @@ class AlphaSynchronousEngine {
   // alpha-to-parallel conversion: each round performs alpha*n activations
   // in expectation).
   RunResult run(Configuration config, const StopRule& rule, Rng& rng,
-                Trajectory* trajectory = nullptr) const;
-
-  // Faulty run under an EnvironmentModel, still exact: among the free
-  // agents holding b, A_b ~ Bin(free_b, alpha) activate and adopt 1 with the
-  // closed-form noisy probability (observation + spontaneous channels);
-  // zealots are pinned counts that never activate; churn and source flips
-  // land on alpha-round boundaries. At alpha = 1 this is distribution-
-  // identical to AggregateParallelEngine's faulty run. RecoverySegments are
-  // measured in alpha-rounds.
-  RunResult run(Configuration config, const StopRule& rule,
-                const EnvironmentModel& faults, Rng& rng,
                 Trajectory* trajectory = nullptr) const;
 
   double alpha() const noexcept { return alpha_; }

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "engine/aggregate.h"
 #include "engine/run_loop.h"
 #include "random/binomial.h"
 #include "telemetry/telemetry.h"
@@ -44,21 +43,6 @@ struct WatchStepper {
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 };
-
-// The zealot reduction: majority camp -> sources, minority camp -> exact
-// extra zealots on the (initially) wrong opinion.
-Configuration to_binary(const ConflictingConfiguration& config) noexcept {
-  const Opinion preference = config.majority_preference();
-  const std::uint64_t majority = preference == Opinion::kOne
-                                     ? config.stubborn_ones
-                                     : config.stubborn_zeros;
-  return Configuration{config.n, config.ones, preference, majority};
-}
-
-std::uint64_t minority_count(const ConflictingConfiguration& config) noexcept {
-  return config.majority_preference() == Opinion::kOne ? config.stubborn_zeros
-                                                       : config.stubborn_ones;
-}
 
 }  // namespace
 
@@ -109,31 +93,6 @@ ConflictingAggregateEngine::WatchResult ConflictingAggregateEngine::watch(
   result.final_config = stepper.state;
   result.telemetry = run.telemetry;
   return result;
-}
-
-RunResult ConflictingAggregateEngine::run(
-    const ConflictingConfiguration& config, const StopRule& rule, Rng& rng,
-    Trajectory* trajectory) const {
-  assert(config.valid());
-  const AggregateParallelEngine aggregate(*protocol_);
-  const std::uint64_t minority = minority_count(config);
-  if (minority == 0) {
-    // A single stubborn camp IS the standard model: delegate untouched.
-    return aggregate.run(to_binary(config), rule, rng, trajectory);
-  }
-  EnvironmentModel model;
-  model.extra_zealots = minority;
-  return aggregate.run(to_binary(config), rule, model, rng, trajectory);
-}
-
-RunResult ConflictingAggregateEngine::run(
-    const ConflictingConfiguration& config, const StopRule& rule,
-    const EnvironmentModel& faults, Rng& rng, Trajectory* trajectory) const {
-  assert(config.valid());
-  EnvironmentModel model = faults;
-  model.extra_zealots += minority_count(config);
-  return AggregateParallelEngine(*protocol_)
-      .run(to_binary(config), rule, model, rng, trajectory);
 }
 
 }  // namespace bitspread

@@ -6,8 +6,10 @@
 // variant IMPOSSIBLE with passive communication — no memory-less protocol
 // can stabilize (indeed no full consensus even exists while both camps are
 // non-empty). This engine lets experiments measure what actually happens:
-// the free population drifts, oscillates, or hugs a quasi-stationary mix,
-// and bench/E15 quantifies how often it at least tracks the majority camp.
+// the free population drifts, oscillates, or hugs a quasi-stationary mix.
+// With nothing absorbing there is no stop-rule run: `watch` steps a fixed
+// number of rounds, and bench/E15 reports how often the free population at
+// least tracks the majority camp.
 #ifndef BITSPREAD_ENGINE_CONFLICTING_H_
 #define BITSPREAD_ENGINE_CONFLICTING_H_
 
@@ -17,7 +19,6 @@
 #include "core/protocol.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
-#include "faults/environment.h"
 #include "random/rng.h"
 
 namespace bitspread {
@@ -73,26 +74,6 @@ class ConflictingAggregateEngine {
   // camps are non-empty), recording the trajectory if given.
   WatchResult watch(ConflictingConfiguration config, std::uint64_t rounds,
                     Rng& rng, Trajectory* trajectory = nullptr) const;
-
-  // Stop-rule run via the zealot reduction: the majority camp becomes the
-  // sources of a binary Configuration (correct = the majority preference)
-  // and the minority camp becomes exact extra zealots pinned on the wrong
-  // opinion, so the run delegates to AggregateParallelEngine's fault-aware
-  // loop bit-for-bit. With a single stubborn camp (the standard model) the
-  // reduction is the identity: the result is bit-identical to the plain
-  // aggregate run. Quorum stop rules count free agents only (the session's
-  // non-zealot quorum), which is the natural notion here.
-  RunResult run(const ConflictingConfiguration& config, const StopRule& rule,
-                Rng& rng, Trajectory* trajectory = nullptr) const;
-
-  // Same under an EnvironmentModel: the minority camp's zealots are added on
-  // top of the model's own (extra_zealots), every other channel applies to
-  // the free population unchanged. A source flip re-targets the MAJORITY
-  // camp's displayed opinion (the minority camp stays stubborn on its
-  // original one).
-  RunResult run(const ConflictingConfiguration& config, const StopRule& rule,
-                const EnvironmentModel& faults, Rng& rng,
-                Trajectory* trajectory = nullptr) const;
 
  private:
   const MemorylessProtocol* protocol_;

@@ -23,7 +23,6 @@
 #include "core/protocol.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
-#include "faults/environment.h"
 #include "random/rng.h"
 #include "topology/topology.h"
 
@@ -34,8 +33,7 @@ class SequentialEngine {
   // The birth-death reduction above holds ONLY under uniform PULL (the
   // activated agent's sample law must depend on X alone). Like the aggregate
   // engine, a topology handle is accepted for interface symmetry but must be
-  // the complete graph (null = complete); use AgentSequentialEngine for
-  // sequential activation on structured graphs.
+  // the complete graph (null = complete).
   explicit SequentialEngine(const MemorylessProtocol& protocol,
                             const Topology* topology = nullptr) noexcept
       : protocol_(&protocol), topology_(topology) {
@@ -51,16 +49,6 @@ class SequentialEngine {
   // given, is recorded once per parallel round. The result reports
   // TimeUnit::kActivations: `ticks` counts activations.
   RunResult run(Configuration config, const StopRule& rule, Rng& rng,
-                Trajectory* trajectory = nullptr) const;
-
-  // Faulty run under an EnvironmentModel. Noise stays exact: the activated
-  // agent's sample is Binomial(l, noisy_fraction(X/n)) and the spontaneous
-  // channel folds into the adoption probability. A zealot activation is a
-  // no-op (time still advances); source flips and churn apply at parallel-
-  // round boundaries (every n activations), matching the parallel engines'
-  // per-round semantics.
-  RunResult run(Configuration config, const StopRule& rule,
-                const EnvironmentModel& faults, Rng& rng,
                 Trajectory* trajectory = nullptr) const;
 
   const MemorylessProtocol& protocol() const noexcept { return *protocol_; }

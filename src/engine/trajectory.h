@@ -42,10 +42,6 @@ class Trajectory {
   std::size_t size() const noexcept { return points_.size(); }
   const Point& back() const noexcept { return points_.back(); }
 
-  // Largest |ones(t+1) - ones(t)| over consecutive recorded rounds (only
-  // meaningful with stride 1); used by the Proposition 4 jump experiment.
-  std::uint64_t max_one_step_jump() const noexcept;
-
  private:
   std::uint64_t stride_;
   std::vector<Point> points_;

@@ -52,9 +52,9 @@ struct EnvironmentModel {
   // opinion.
   double zealot_fraction = 0.0;
   // Channel 3, exact form: zealots added ON TOP of the fraction, as an
-  // absolute count. Used where the adversarial camp is an exact population —
-  // the conflicting-sources engine maps its minority stubborn camp here —
-  // while zealot_fraction serves the scale-free sweeps.
+  // absolute count for an adversarial camp of exact size, while
+  // zealot_fraction serves the scale-free sweeps. Only tests set it (the
+  // cross-check of ConflictingAggregateEngine::watch against this channel).
   std::uint64_t extra_zealots = 0;
   // Channel 5: per-round crash probability of each free agent.
   double churn_rate = 0.0;

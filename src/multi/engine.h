@@ -10,14 +10,9 @@
 // Both engines run through the shared RunDriver (engine/run_loop.h) with a
 // custom consensus stop evaluation, so they take the same StopRule as the
 // binary engines and emit trajectories, flight-recorder round streams, and
-// telemetry. Faulty runs accept an EnvironmentModel with the m-ary
-// generalizations of channels 1 (each observed opinion is replaced by a
-// uniformly random OTHER opinion with probability epsilon), 2 (with
-// probability eta the agent adopts a uniform opinion), and 5 (churned agents
-// restart on the canonical wrong opinion (correct+1) mod m). The zealot and
-// source-flip channels are binary-specific (which of the m-1 wrong opinions
-// zealots pin, and what a flip re-targets, are not canonical) and are
-// ignored here — see DESIGN.md §3.5.
+// telemetry. Neither takes an EnvironmentModel: no experiment runs the
+// m-ary dynamics under faults. MultiAgentEngine doubles as the per-agent
+// oracle the aggregate engine is tested against (tests/multi_opinion_test.cc).
 #ifndef BITSPREAD_MULTI_ENGINE_H_
 #define BITSPREAD_MULTI_ENGINE_H_
 
@@ -26,7 +21,6 @@
 
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
-#include "faults/environment.h"
 #include "multi/configuration.h"
 #include "multi/protocol.h"
 #include "random/rng.h"
@@ -70,14 +64,6 @@ class MultiAggregateEngine {
   MultiRunResult run(MultiConfiguration config, const StopRule& rule,
                      Rng& rng, Trajectory* trajectory = nullptr) const;
 
-  // Faulty run (channels 1/2/5, m-ary forms; see the header comment). The
-  // convergence quorum generalizes: counts[correct] >= ceil(quorum * n)
-  // counts as correct consensus, and a wrong consensus only stops when the
-  // model keeps it absorbing.
-  MultiRunResult run(MultiConfiguration config, const StopRule& rule,
-                     const EnvironmentModel& faults, Rng& rng,
-                     Trajectory* trajectory = nullptr) const;
-
   const MultiOpinionProtocol& protocol() const noexcept { return *protocol_; }
 
  private:
@@ -101,17 +87,9 @@ class MultiAgentEngine {
 
   Population make_population(const MultiConfiguration& config) const;
   void step(Population& population, Rng& rng) const;
-  // One faulty synchronous round: per-observation m-ary noise plus the
-  // spontaneous override. Churn is round-boundary work owned by the driver
-  // loop.
-  void step_faulty(Population& population, const EnvironmentModel& model,
-                   Rng& rng) const;
 
   MultiRunResult run(MultiConfiguration config, const StopRule& rule,
                      Rng& rng, Trajectory* trajectory = nullptr) const;
-  MultiRunResult run(MultiConfiguration config, const StopRule& rule,
-                     const EnvironmentModel& faults, Rng& rng,
-                     Trajectory* trajectory = nullptr) const;
 
   const MultiOpinionProtocol& protocol() const noexcept { return *protocol_; }
 

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "engine/run_loop.h"
-#include "faults/session.h"
 
 namespace bitspread {
 namespace {
@@ -28,53 +27,6 @@ struct PopulationStepper {
     samples += 2 * n;
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
-};
-
-// Faulty stepper: zealot slots are frozen inside the interaction, source
-// flips reset the pinned source states, churn replaces free agents at round
-// boundaries.
-struct PopulationFaultyStepper {
-  const PopulationEngine& engine;
-  FaultSession& session;
-  Rng& rng;
-  PopulationEngine::Population& population;
-  Configuration state;
-  std::uint64_t samples = 0;
-  std::uint64_t churn_events = 0;
-
-  Configuration& config() noexcept { return state; }
-  void step(std::uint64_t /*tick*/) {
-    const std::uint64_t n = population.states.size();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      engine.interact_faulty(population, session, rng);
-    }
-    state.ones = population.count_ones(engine.protocol());
-    samples += 2 * n;
-  }
-  void sync_flip() {
-    population.correct = state.correct;
-    for (std::uint64_t i = 0; i < population.sources; ++i) {
-      population.states[i] = engine.protocol().source_state(state.correct);
-    }
-    state.ones = population.count_ones(engine.protocol());
-  }
-  void end_round(std::uint64_t /*round*/) {
-    const double delta = session.model().churn_rate;
-    if (delta <= 0.0) return;
-    const Opinion wrong = state.correct == Opinion::kOne ? Opinion::kZero
-                                                         : Opinion::kOne;
-    const std::uint32_t reset = engine.protocol().initial_state(wrong);
-    for (std::uint64_t i = population.sources;
-         i < population.states.size(); ++i) {
-      if (session.is_zealot(i)) continue;
-      if (!rng.bernoulli(delta)) continue;
-      population.states[i] = reset;
-      ++churn_events;
-    }
-    state.ones = population.count_ones(engine.protocol());
-  }
-  std::uint64_t samples_drawn() const noexcept { return samples; }
-  std::uint64_t churned() const noexcept { return churn_events; }
 };
 
 }  // namespace
@@ -123,24 +75,6 @@ void PopulationEngine::interact(Population& population, Rng& rng) const {
   if (b >= population.sources) population.states[b] = next_b;
 }
 
-void PopulationEngine::interact_faulty(Population& population,
-                                       const FaultSession& session,
-                                       Rng& rng) const {
-  const std::uint64_t n = population.states.size();
-  assert(n >= 2);
-  const std::uint64_t a = rng.next_below(n);
-  std::uint64_t b = rng.next_below(n - 1);
-  if (b >= a) ++b;
-  const auto [next_a, next_b] =
-      protocol_->interact(population.states[a], population.states[b], rng);
-  if (a >= population.sources && !session.is_zealot(a)) {
-    population.states[a] = next_a;
-  }
-  if (b >= population.sources && !session.is_zealot(b)) {
-    population.states[b] = next_b;
-  }
-}
-
 RunResult PopulationEngine::run(Population& population, const StopRule& rule,
                                 Rng& rng, Trajectory* trajectory) const {
   const std::uint64_t n = population.states.size();
@@ -150,28 +84,6 @@ RunResult PopulationEngine::run(Population& population, const StopRule& rule,
                     population.sources}};
   return RunDriver(TimePolicy::interaction_rounds(n))
       .run(stepper, rule, trajectory);
-}
-
-RunResult PopulationEngine::run(Population& population, const StopRule& rule,
-                                const EnvironmentModel& faults, Rng& rng,
-                                Trajectory* trajectory) const {
-  const std::uint64_t n = population.states.size();
-  Configuration config{n, population.count_ones(*protocol_),
-                       population.correct, population.sources};
-  FaultSession session(faults, config);
-  config = session.plant(config);
-  // Pin the zealot slots to the zealot opinion's initial state; under the
-  // canonical layout the recount below matches the planted ones-count.
-  const std::uint32_t zealot_state =
-      protocol_->initial_state(session.zealot_opinion());
-  for (std::uint64_t i = session.zealot_begin(); i < session.zealot_end();
-       ++i) {
-    population.states[i] = zealot_state;
-  }
-  config.ones = population.count_ones(*protocol_);
-  PopulationFaultyStepper stepper{*this, session, rng, population, config};
-  return RunDriver(TimePolicy::interaction_rounds(n))
-      .run(stepper, rule, session, trajectory);
 }
 
 }  // namespace bitspread

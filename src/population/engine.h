@@ -9,7 +9,8 @@
 // engine exists to measure that contrast: with active pairwise exchange,
 // information spread is epidemic-fast (Theta(log n) parallel time), so the
 // Omega(n^{1-eps}) barrier is specifically a price of passivity, not of
-// small memory.
+// small memory. The engine is fault-free: the contrast (E20) is drawn on
+// the fault-free dynamics.
 #ifndef BITSPREAD_POPULATION_ENGINE_H_
 #define BITSPREAD_POPULATION_ENGINE_H_
 
@@ -21,12 +22,9 @@
 #include "core/opinion.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
-#include "faults/environment.h"
 #include "random/rng.h"
 
 namespace bitspread {
-
-class FaultSession;
 
 // A pairwise transition function over a finite state space. States are
 // small integers; the displayed opinion is a projection of the state.
@@ -75,28 +73,11 @@ class PopulationEngine {
   // their own state never changes.
   void interact(Population& population, Rng& rng) const;
 
-  // As interact, but zealot slots never change state (they still respond:
-  // partners see their state).
-  void interact_faulty(Population& population, const FaultSession& session,
-                       Rng& rng) const;
-
   // StopRule::max_rounds in parallel rounds (n interactions each, the
   // standard population-protocol normalization); the result reports
   // TimeUnit::kActivations (ticks = interactions). The trajectory and the
   // flight-recorder round stream are recorded once per parallel round.
   RunResult run(Population& population, const StopRule& rule, Rng& rng,
-                Trajectory* trajectory = nullptr) const;
-
-  // Faulty run. Population protocols exchange full states, not sampled
-  // bits, so the bit-observation channels (observation noise, spontaneous
-  // adoption) do not apply and are ignored; the structural channels do:
-  // zealot slots are frozen on the initially wrong opinion, source flips
-  // re-target the correct opinion and reset the source states mid-run, and
-  // churned free agents restart in the protocol's initial state for the
-  // currently wrong opinion at round boundaries. Assumes the canonical
-  // make_population layout (sources | ones | zeros) for zealot placement.
-  RunResult run(Population& population, const StopRule& rule,
-                const EnvironmentModel& faults, Rng& rng,
                 Trajectory* trajectory = nullptr) const;
 
   const PairwiseProtocol& protocol() const noexcept { return *protocol_; }

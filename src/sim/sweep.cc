@@ -1,23 +1,8 @@
 #include "sim/sweep.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace bitspread {
-
-std::vector<std::uint64_t> geometric_grid(std::uint64_t lo, std::uint64_t hi,
-                                          double factor) {
-  assert(lo > 0 && factor > 1.0);
-  std::vector<std::uint64_t> grid;
-  double value = static_cast<double>(lo);
-  while (static_cast<std::uint64_t>(value) < hi) {
-    const auto v = static_cast<std::uint64_t>(value);
-    if (grid.empty() || grid.back() != v) grid.push_back(v);
-    value *= factor;
-  }
-  if (grid.empty() || grid.back() != hi) grid.push_back(hi);
-  return grid;
-}
 
 std::vector<std::uint64_t> power_of_two_grid(int lo_exp, int hi_exp) {
   assert(lo_exp >= 0 && hi_exp >= lo_exp && hi_exp < 63);
@@ -25,14 +10,6 @@ std::vector<std::uint64_t> power_of_two_grid(int lo_exp, int hi_exp) {
   for (int e = lo_exp; e <= hi_exp; ++e) {
     grid.push_back(std::uint64_t{1} << e);
   }
-  return grid;
-}
-
-std::vector<std::uint64_t> linear_grid(std::uint64_t lo, std::uint64_t hi,
-                                       std::uint64_t step) {
-  assert(step > 0);
-  std::vector<std::uint64_t> grid;
-  for (std::uint64_t v = lo; v <= hi; v += step) grid.push_back(v);
   return grid;
 }
 

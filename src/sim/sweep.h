@@ -1,4 +1,4 @@
-// Parameter-grid helpers for sweeps over population sizes and sample sizes.
+// The parameter grid for sweeps over population sizes.
 #ifndef BITSPREAD_SIM_SWEEP_H_
 #define BITSPREAD_SIM_SWEEP_H_
 
@@ -7,17 +7,8 @@
 
 namespace bitspread {
 
-// Geometric grid {lo, lo*factor, ...} capped at hi (hi always included if the
-// last step overshoots). factor must exceed 1.
-std::vector<std::uint64_t> geometric_grid(std::uint64_t lo, std::uint64_t hi,
-                                          double factor);
-
 // Powers of two from 2^lo_exp to 2^hi_exp inclusive.
 std::vector<std::uint64_t> power_of_two_grid(int lo_exp, int hi_exp);
-
-// Linear integer grid with the given step.
-std::vector<std::uint64_t> linear_grid(std::uint64_t lo, std::uint64_t hi,
-                                       std::uint64_t step);
 
 }  // namespace bitspread
 

@@ -1,10 +1,9 @@
 #include "stats/quantiles.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <vector>
 
 namespace bitspread {
 
@@ -21,29 +20,5 @@ double quantile(std::span<const double> values, double q) {
 }
 
 double median(std::span<const double> values) { return quantile(values, 0.5); }
-
-Histogram::Histogram(double lo_edge, double hi_edge, std::size_t bins)
-    : lo(lo_edge), hi(hi_edge), counts(bins, 0) {
-  assert(bins > 0);
-  assert(hi_edge > lo_edge);
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  auto bin = static_cast<std::int64_t>(std::floor((x - lo) / width));
-  bin = std::clamp<std::int64_t>(bin, 0,
-                                 static_cast<std::int64_t>(counts.size()) - 1);
-  ++counts[static_cast<std::size_t>(bin)];
-}
-
-std::uint64_t Histogram::total() const noexcept {
-  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
-}
-
-double Histogram::fraction(std::size_t i) const noexcept {
-  const std::uint64_t n = total();
-  if (n == 0) return 0.0;
-  return static_cast<double>(counts[i]) / static_cast<double>(n);
-}
 
 }  // namespace bitspread

@@ -1,10 +1,8 @@
-// Quantiles and fixed-bin histograms over batches of observations.
+// Quantiles over batches of observations.
 #ifndef BITSPREAD_STATS_QUANTILES_H_
 #define BITSPREAD_STATS_QUANTILES_H_
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 namespace bitspread {
 
@@ -15,20 +13,6 @@ double quantile(std::span<const double> values, double q);
 
 // Median shortcut.
 double median(std::span<const double> values);
-
-// Equal-width histogram over [lo, hi); values outside are clamped into the
-// first/last bin.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::vector<std::uint64_t> counts;
-
-  Histogram(double lo_edge, double hi_edge, std::size_t bins);
-  void add(double x) noexcept;
-  std::uint64_t total() const noexcept;
-  // Fraction of mass in bin i.
-  double fraction(std::size_t i) const noexcept;
-};
 
 }  // namespace bitspread
 

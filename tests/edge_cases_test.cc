@@ -77,7 +77,6 @@ TEST(Trajectory, MaxJumpAndStrideZero) {
   traj.record(0, 10);
   traj.record(1, 25);
   traj.record(2, 20);
-  EXPECT_EQ(traj.max_one_step_jump(), 15u);
   EXPECT_EQ(traj.size(), 3u);
 }
 
@@ -87,13 +86,6 @@ TEST(Trajectory, ForceRecordOverwritesSameRound) {
   traj.force_record(0, 7);
   ASSERT_EQ(traj.size(), 1u);
   EXPECT_EQ(traj.back().ones, 7u);
-}
-
-TEST(Trajectory, ThinnedJumpIgnoresGaps) {
-  Trajectory traj(10);
-  traj.record(0, 0);
-  traj.record(10, 1000);  // Non-adjacent rounds: not a one-step jump.
-  EXPECT_EQ(traj.max_one_step_jump(), 0u);
 }
 
 TEST(Eq4Sum, ExtremeFractionsAndHugeSampleSizes) {

@@ -235,45 +235,21 @@ TEST(CrossValidation, AlphaOneMatchesAggregateConvergenceLaw) {
       << "KS=" << d;
 }
 
-// Same identity through the faulty code path: at alpha = 1 the noisy
-// closed-form adoption plus source flips produce the same re-convergence law
-// as the aggregate engine's faulty run.
-TEST(CrossValidation, AlphaOneMatchesAggregateUnderFaults) {
-  const VoterDynamics voter;
-  const std::uint64_t n = 30;
-  StopRule rule;
-  rule.max_rounds = 1000000;
-  EnvironmentModel model;
-  model.observation_noise = 0.02;
-  model.convergence_quorum = 0.9;
-  model.source_flip_rounds = {3};
-
-  const AggregateParallelEngine aggregate(voter);
-  const AlphaSynchronousEngine alpha(voter, 1.0);
-
-  const int kTrials = 400;
-  std::vector<double> agg_times, alpha_times;
-  for (int i = 0; i < kTrials; ++i) {
-    Rng rng_a(100000 + i), rng_b(110000 + i);
-    const RunResult a = aggregate.run(Configuration{n, 10, Opinion::kOne},
-                                      rule, model, rng_a);
-    const RunResult b =
-        alpha.run(Configuration{n, 10, Opinion::kOne}, rule, model, rng_b);
-    ASSERT_TRUE(a.converged());
-    ASSERT_TRUE(b.converged());
-    ASSERT_EQ(a.recoveries.size(), 2u);
-    ASSERT_EQ(b.recoveries.size(), 2u);
-    agg_times.push_back(a.parallel_rounds());
-    alpha_times.push_back(b.parallel_rounds());
+// E15 reports ConflictingAggregateEngine::watch, so watch is checked
+// against the aggregate engine round by round: same seed, same draws, the
+// same X_t at every round up to the aggregate run's stop.
+void expect_same_rounds(const Trajectory& aggregate,
+                        const Trajectory& watched) {
+  ASSERT_EQ(aggregate.size(), watched.size());
+  for (std::size_t i = 0; i < aggregate.size(); ++i) {
+    EXPECT_EQ(aggregate.points()[i].round, watched.points()[i].round);
+    EXPECT_EQ(aggregate.points()[i].ones, watched.points()[i].ones)
+        << "round " << aggregate.points()[i].round;
   }
-  const double d = ks_statistic(agg_times, alpha_times);
-  EXPECT_GT(ks_p_value(d, agg_times.size(), alpha_times.size()), 1e-3)
-      << "KS=" << d;
 }
 
-// A single stubborn camp IS the standard single-source model: the
-// conflicting engine's zealot reduction must then be the identity, i.e.
-// bit-for-bit the plain aggregate run with the same seed.
+// A single stubborn camp IS the standard single-source model: watching it
+// is bit-for-bit the plain aggregate run with the same seed.
 TEST(CrossValidation, ConflictingSingleCampIsBitIdenticalToStandardRun) {
   const MinorityDynamics minority(3);
   const ConflictingAggregateEngine conflicting(minority);
@@ -283,40 +259,52 @@ TEST(CrossValidation, ConflictingSingleCampIsBitIdenticalToStandardRun) {
 
   for (int i = 0; i < 50; ++i) {
     Rng rng_a(120000 + i), rng_b(120000 + i);
-    const ConflictingConfiguration config{40, 12, 1, 0};
-    const RunResult a = conflicting.run(config, rule, rng_a);
-    const RunResult b =
-        aggregate.run(Configuration{40, 12, Opinion::kOne, 1}, rule, rng_b);
-    EXPECT_EQ(a.reason, b.reason);
-    EXPECT_EQ(a.ticks, b.ticks);
+    Trajectory run_rounds, watch_rounds;
+    const RunResult a = aggregate.run(Configuration{40, 12, Opinion::kOne, 1},
+                                      rule, rng_a, &run_rounds);
+    ASSERT_GT(a.ticks, 0u);
+    const auto b = conflicting.watch(ConflictingConfiguration{40, 12, 1, 0},
+                                     a.ticks, rng_b, &watch_rounds);
+    expect_same_rounds(run_rounds, watch_rounds);
     EXPECT_EQ(a.final_config.ones, b.final_config.ones);
   }
 }
 
-// The same reduction identity through the fault channels: with noise and a
-// source-flip schedule on top, a single-camp conflicting run is bit-identical
-// to the standard faulty aggregate run.
-TEST(CrossValidation, ConflictingSingleCampBitIdenticalUnderFaults) {
+// With both camps, watch is the zealot reduction: the majority camp as the
+// sources of a binary run and the minority camp as exact zealots on the
+// other opinion (EnvironmentModel::extra_zealots). With every other channel
+// off, NoisyObservationProtocol returns the base adoption exactly, so the
+// aggregate faulty run draws what watch draws, up to that run's stop.
+TEST(CrossValidation, ConflictingTwoCampsAreBitIdenticalToZealotRun) {
   const VoterDynamics voter;
   const ConflictingAggregateEngine conflicting(voter);
   const AggregateParallelEngine aggregate(voter);
   StopRule rule;
   rule.max_rounds = 5000;
-  EnvironmentModel model;
-  model.observation_noise = 0.05;
-  model.convergence_quorum = 0.9;
-  model.source_flip_rounds = {4};
 
-  for (int i = 0; i < 50; ++i) {
-    Rng rng_a(130000 + i), rng_b(130000 + i);
-    const ConflictingConfiguration config{40, 12, 1, 0};
-    const RunResult a = conflicting.run(config, rule, model, rng_a);
-    const RunResult b = aggregate.run(Configuration{40, 12, Opinion::kOne, 1},
-                                      rule, model, rng_b);
-    EXPECT_EQ(a.reason, b.reason);
-    EXPECT_EQ(a.ticks, b.ticks);
-    EXPECT_EQ(a.final_config.ones, b.final_config.ones);
-    EXPECT_EQ(a.recoveries, b.recoveries);
+  for (const ConflictingConfiguration camps :
+       {ConflictingConfiguration{64, 32, 4, 2},
+        ConflictingConfiguration{64, 30, 2, 5}}) {
+    const Opinion majority = camps.majority_preference();
+    const bool ones_lead = majority == Opinion::kOne;
+    EnvironmentModel model;
+    model.extra_zealots =
+        ones_lead ? camps.stubborn_zeros : camps.stubborn_ones;
+    model.convergence_quorum = 0.75;  // Decides only where the run stops.
+    const Configuration binary{
+        camps.n, camps.ones, majority,
+        ones_lead ? camps.stubborn_ones : camps.stubborn_zeros};
+    for (int i = 0; i < 50; ++i) {
+      Rng rng_a(130000 + i), rng_b(130000 + i);
+      Trajectory run_rounds, watch_rounds;
+      const RunResult a =
+          aggregate.run(binary, rule, model, rng_a, &run_rounds);
+      EXPECT_EQ(a.telemetry.fault_zealots, model.extra_zealots);
+      ASSERT_GT(a.ticks, 0u);
+      const auto b = conflicting.watch(camps, a.ticks, rng_b, &watch_rounds);
+      expect_same_rounds(run_rounds, watch_rounds);
+      EXPECT_EQ(a.final_config.ones, b.final_config.ones);
+    }
   }
 }
 

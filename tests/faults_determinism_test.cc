@@ -217,7 +217,8 @@ TEST(FaultDeterminism, AgentZealotStepMatchesAggregateClosedForm) {
 }
 
 // Convergence-time law under noise agrees between the aggregate faulty path
-// (exact closed form) and the sequential faulty path run to the same quorum.
+// (exact closed form) and the agent engine's faulty path (explicit noisy
+// observations) run to the same quorum.
 TEST(FaultDeterminism, AggregateAndAgentNoisyConvergenceLawsAgree) {
   const MinorityDynamics minority(SampleSizePolicy::sqrt_n_log_n());
   EnvironmentModel model;

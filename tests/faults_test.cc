@@ -11,7 +11,6 @@
 #include "core/init.h"
 #include "engine/agent.h"
 #include "engine/aggregate.h"
-#include "engine/sequential.h"
 #include "faults/environment.h"
 #include "faults/noisy_protocol.h"
 #include "faults/session.h"
@@ -310,27 +309,6 @@ TEST(AggregateFaults, ZealotsCapTheReachableOnesCount) {
     EXPECT_LE(point.ones, ceiling);
   }
   EXPECT_LE(result.final_config.ones, ceiling);
-}
-
-TEST(SequentialFaults, FaultyRunMatchesSemantics) {
-  const AlwaysOne protocol;
-  const SequentialEngine engine(protocol);
-  EnvironmentModel model;
-  // One activation per step: give the scheduler enough parallel rounds to
-  // touch every agent (coupon collector, ~ln n rounds) before the flip.
-  model.source_flip_rounds = {15};
-  StopRule rule;
-  rule.max_rounds = 25;
-  Rng rng(31);
-  const RunResult result =
-      engine.run(init_all_wrong(64, Opinion::kOne), rule, model, rng);
-  EXPECT_EQ(result.reason, StopReason::kDegraded);
-  EXPECT_TRUE(result.censored());
-  EXPECT_TRUE(result.degraded());
-  ASSERT_EQ(result.recoveries.size(), 2u);
-  EXPECT_TRUE(result.recoveries[0].recovered);
-  EXPECT_FALSE(result.recoveries[1].recovered);
-  EXPECT_EQ(result.recoveries[1].flip_round, 15u);
 }
 
 TEST(AgentFaults, FaultyRunMatchesSemantics) {

@@ -1,22 +1,15 @@
-// Quasi-stationary distributions, exact one-round variance, and the
-// sequential agent engine.
+// Quasi-stationary distributions and exact one-round variance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/init.h"
+#include "core/configuration.h"
 #include "core/problem.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
-#include "engine/sequential.h"
 #include "markov/absorption.h"
 #include "markov/dense_chain.h"
 #include "markov/quasi_stationary.h"
 #include "protocols/minority.h"
-#include "protocols/undecided.h"
 #include "protocols/voter.h"
-#include "stats/ks.h"
-#include "stats/summary.h"
 
 namespace bitspread {
 namespace {
@@ -99,76 +92,6 @@ TEST(QuasiStationary, MinorityTrapCentersAtHalf) {
     total += p;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(SequentialAgentEngine, ActivationDeltaIsAtMostOne) {
-  const UndecidedStateDynamics usd;
-  const AgentSequentialEngine engine(usd);
-  Rng rng(1);
-  auto population =
-      engine.make_population(init_half(60, Opinion::kOne));
-  for (int t = 0; t < 2000; ++t) {
-    const int delta = engine.activate(population, rng);
-    EXPECT_GE(delta, -1);
-    EXPECT_LE(delta, 1);
-  }
-}
-
-TEST(SequentialAgentEngine, MatchesAggregateSequentialForMemoryless) {
-  // For a memory-less protocol via the adapter, the sequential agent engine
-  // and the aggregate SequentialEngine follow the same law: compare
-  // convergence-activation distributions by KS.
-  const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentSequentialEngine agent_engine(adapter);
-  const SequentialEngine aggregate_engine(voter);
-  const std::uint64_t n = 14;
-  StopRule rule;
-  rule.max_rounds = 1000000;
-
-  const int kTrials = 400;
-  std::vector<double> agent_times, aggregate_times;
-  for (int i = 0; i < kTrials; ++i) {
-    Rng rng_a(70000 + i), rng_b(80000 + i);
-    const RunResult a =
-        agent_engine.run(Configuration{n, 7, Opinion::kOne}, rule, rng_a);
-    const RunResult b =
-        aggregate_engine.run(Configuration{n, 7, Opinion::kOne}, rule, rng_b);
-    ASSERT_TRUE(a.converged());
-    ASSERT_TRUE(b.converged());
-    agent_times.push_back(static_cast<double>(a.activations()));
-    aggregate_times.push_back(static_cast<double>(b.activations()));
-  }
-  const double d = ks_statistic(agent_times, aggregate_times);
-  EXPECT_GT(ks_p_value(d, agent_times.size(), aggregate_times.size()), 1e-3)
-      << "KS=" << d;
-}
-
-TEST(SequentialAgentEngine, RunReportsActivationsAndStops) {
-  const UndecidedStateDynamics usd;
-  const AgentSequentialEngine engine(usd);
-  Rng rng(2);
-  StopRule rule;
-  rule.max_rounds = 3;
-  const RunResult result =
-      engine.run(init_half(50, Opinion::kOne), rule, rng);
-  EXPECT_EQ(result.reason, StopReason::kRoundLimit);
-  EXPECT_EQ(result.activations(), 150u);
-}
-
-TEST(SequentialAgentEngine, SourcePinnedAndCountsConsistent) {
-  const UndecidedStateDynamics usd;
-  const AgentSequentialEngine engine(usd);
-  Rng rng(3);
-  auto population = engine.make_population(
-      init_fraction_ones(40, Opinion::kOne, 0.6));
-  std::uint64_t tracked = population.count_ones();
-  for (int t = 0; t < 3000; ++t) {
-    tracked = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(tracked) + engine.activate(population, rng));
-    EXPECT_EQ(population.views[0].opinion, Opinion::kOne);
-  }
-  EXPECT_EQ(tracked, population.count_ones());
 }
 
 }  // namespace

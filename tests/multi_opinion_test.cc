@@ -257,11 +257,17 @@ TEST(MultiAgent, VoterConvergesWithThreeOpinions) {
   config.sources = 1;
   StopRule rule;
   rule.max_rounds = 1000000;
-  const MultiRunResult result = engine.run(config, rule, rng);
+  Trajectory trajectory;
+  const MultiRunResult result = engine.run(config, rule, rng, &trajectory);
   // Voter with a source eventually reaches the correct consensus (dual
   // argument extends to any opinion set); wrong consensus cannot absorb
   // because the source keeps displaying `correct`.
   EXPECT_TRUE(result.converged());
+  // The trajectory records the correct opinion's count, not a binary ones.
+  ASSERT_FALSE(trajectory.empty());
+  EXPECT_EQ(trajectory.points().front().ones, 10u);
+  EXPECT_EQ(trajectory.back().round, result.rounds);
+  EXPECT_EQ(trajectory.back().ones, result.final_config.counts[2]);
 }
 
 TEST(MultiAggregate, ConsensusIsAbsorbingForMinority) {

@@ -137,7 +137,7 @@ TEST(PmuCounterSet, ReadsAreMonotoneOnEveryRung) {
   set.read(a);
   // Burn a little CPU so every clock moves.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   set.read(b);
   EXPECT_GE(b.wall_ns, a.wall_ns);
   const CounterDelta d = set.delta(a, b);
@@ -163,7 +163,9 @@ TEST(PmuCounterSet, ForcedFallbackViaEnvironment) {
     CounterSnapshot b;
     forced.read(a);
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 100000; ++i) {
+      sink = sink + static_cast<std::uint64_t>(i);
+    }
     forced.read(b);
     const CounterDelta d = forced.delta(a, b);
     EXPECT_FALSE(d.pmu);
@@ -257,9 +259,9 @@ TEST(Probes, KernelBlockProfilerRecordsOnlyWhenSinked) {
     KernelBlockProfiler prof;
     prof.enter(telemetry::Phase::kKernelGather);
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<std::uint64_t>(i);
     prof.enter(telemetry::Phase::kKernelCommit);
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<std::uint64_t>(i);
     prof.leave();
   }
 
@@ -327,7 +329,7 @@ TEST(SamplingProfiler, CollectsAndFoldsSamples) {
   volatile std::uint64_t sink = 0;
   for (std::uint64_t spin = 0;
        profiler.samples_taken() < 3 && spin < 4'000'000'000ull; ++spin) {
-    sink += spin;
+    sink = sink + spin;
   }
   profiler.stop();
   EXPECT_FALSE(profiler.running());

@@ -1,7 +1,7 @@
 // The unified run-loop core (engine/run_loop.h): TimePolicy/TimeUnit
-// conversions, and the cross-cutting driver features — fault lifecycle,
-// telemetry, trajectory and flight-recorder recording — on the engines that
-// gained them in the refactor (alpha-synchronous, conflicting-sources,
+// conversions, and the cross-cutting driver features — telemetry,
+// trajectory and flight-recorder recording — on the engines that gained
+// them in the refactor (alpha-synchronous, conflicting-sources,
 // multi-opinion, population).
 #include <gtest/gtest.h>
 
@@ -85,44 +85,7 @@ TEST(TimeUnitResult, ToStringNamesEveryUnit) {
             to_string(TimeUnit::kActivations));
 }
 
-// --- Alpha-synchronous engine through the driver's fault lifecycle --------
-
-TEST(RunLoopFaults, AlphaRunRecoversFromSourceFlip) {
-  const VoterDynamics voter;
-  const AlphaSynchronousEngine engine(voter, 0.5);
-  StopRule rule;
-  rule.max_rounds = 1000000;
-  EnvironmentModel model;
-  model.source_flip_rounds = {5};
-  Rng rng(71);
-  const RunResult result =
-      engine.run(Configuration{30, 10, Opinion::kOne}, rule, model, rng);
-  EXPECT_TRUE(result.converged());
-  EXPECT_EQ(result.unit, TimeUnit::kAlphaRounds);
-  ASSERT_EQ(result.recoveries.size(), 2u);
-  // Segment 0 ends at the flip; a voter rarely reaches quorum in 5 rounds,
-  // so only the post-flip segment is guaranteed to close with a recovery.
-  EXPECT_TRUE(result.recoveries[1].recovered);
-  EXPECT_EQ(result.last_flip_round(), 5u);
-}
-
-TEST(RunLoopFaults, AlphaRunDegradesWhenFlipCannotRecover) {
-  const VoterDynamics voter;
-  const AlphaSynchronousEngine engine(voter, 1.0);
-  StopRule rule;
-  rule.max_rounds = 11;  // One round after the flip: cannot re-converge.
-  EnvironmentModel model;
-  model.source_flip_rounds = {10};
-  Rng rng(72);
-  const RunResult result =
-      engine.run(Configuration{64, 32, Opinion::kOne}, rule, model, rng);
-  EXPECT_EQ(result.reason, StopReason::kDegraded);
-  EXPECT_TRUE(result.degraded());
-  EXPECT_TRUE(result.censored());
-  ASSERT_EQ(result.recoveries.size(), 2u);
-  EXPECT_FALSE(result.recoveries.back().recovered);
-  EXPECT_EQ(result.last_flip_round(), 10u);
-}
+// --- Alpha-synchronous engine ---------------------------------------------
 
 TEST(RunLoopTrajectory, AlphaRunRecordsEveryRoundAndTheFinalState) {
   const VoterDynamics voter;
@@ -142,23 +105,6 @@ TEST(RunLoopTrajectory, AlphaRunRecordsEveryRoundAndTheFinalState) {
 
 // --- Conflicting-sources engine -------------------------------------------
 
-TEST(RunLoopFaults, ConflictingBothCampsReportsZealotTelemetry) {
-  const VoterDynamics voter;
-  const ConflictingAggregateEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 30;
-  EnvironmentModel model;
-  model.convergence_quorum = 0.8;
-  Rng rng(74);
-  const ConflictingConfiguration config{64, 32, 4, 2};
-  const RunResult result = engine.run(config, rule, model, rng);
-  EXPECT_TRUE(result.reason == StopReason::kCorrectConsensus ||
-              result.reason == StopReason::kRoundLimit);
-  // The minority camp rides the zealot channel.
-  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-  EXPECT_GT(result.telemetry.samples_drawn, 0u);
-}
-
 TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
   const VoterDynamics voter;
   const ConflictingAggregateEngine engine(voter);
@@ -171,112 +117,7 @@ TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
   EXPECT_GT(watch.telemetry.samples_drawn, 0u);
 }
 
-// --- Multi-opinion engines ------------------------------------------------
-
-TEST(RunLoopFaults, MultiQuorumStopsTheFaultyRun) {
-  const MultiVoter voter(3, 4);
-  const MultiAggregateEngine engine(voter);
-  StopRule rule;
-  EnvironmentModel model;
-  model.observation_noise = 0.02;
-  model.convergence_quorum = 0.7;  // ceil(0.7 * 64) = 45 <= 50: met at once.
-  Rng rng(76);
-  const MultiRunResult result =
-      engine.run(MultiConfiguration{{50, 7, 7}, 0, 1}, rule, model, rng);
-  EXPECT_EQ(result.reason, StopReason::kCorrectConsensus);
-  EXPECT_EQ(result.rounds, 0u);
-}
-
-TEST(RunLoopFaults, MultiChurnKeepsRunFromConsensusAndIsCounted) {
-  const MultiVoter voter(3, 4);
-  const MultiAggregateEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 50;
-  EnvironmentModel model;
-  model.observation_noise = 0.1;
-  model.churn_rate = 0.2;
-  Rng rng(77);
-  const MultiRunResult result =
-      engine.run(MultiConfiguration{{50, 7, 7}, 0, 1}, rule, model, rng);
-  EXPECT_EQ(result.reason, StopReason::kRoundLimit);
-  EXPECT_TRUE(result.censored());
-  EXPECT_GT(result.telemetry.fault_churned, 0u);
-  EXPECT_EQ(result.telemetry.rounds, 50u);
-}
-
-TEST(RunLoopFaults, MultiWrongConsensusDoesNotStopWhenEscapable) {
-  const MultiVoter voter(3, 4);
-  const MultiAggregateEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 30;
-  EnvironmentModel model;
-  model.observation_noise = 0.2;  // Wrong consensus is escapable.
-  Rng rng(78);
-  // Source-less all-wrong start: the fault-free rule would stop immediately.
-  const MultiRunResult result =
-      engine.run(MultiConfiguration{{0, 64, 0}, 0, 0}, rule, model, rng);
-  EXPECT_NE(result.reason, StopReason::kWrongConsensus);
-}
-
-TEST(RunLoopFaults, MultiAgentFaultyRunMatchesAggregateShape) {
-  const MultiVoter voter(3, 4);
-  const MultiAgentEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 40;
-  EnvironmentModel model;
-  model.observation_noise = 0.1;
-  model.spontaneous_rate = 0.05;
-  model.churn_rate = 0.1;
-  Rng rng(79);
-  Trajectory trajectory;
-  const MultiRunResult result = engine.run(
-      MultiConfiguration{{40, 12, 12}, 0, 1}, rule, model, rng, &trajectory);
-  EXPECT_LE(result.rounds, 40u);
-  EXPECT_EQ(result.final_config.n(), 64u);
-  ASSERT_FALSE(trajectory.empty());
-  EXPECT_EQ(trajectory.points().front().round, 0u);
-  // The trajectory tracks the correct-opinion count, not a binary ones.
-  EXPECT_EQ(trajectory.back().ones, result.final_config.counts[0]);
-}
-
 // --- Population engine ----------------------------------------------------
-
-TEST(RunLoopFaults, PopulationFlipResetsSourcesAndRecovers) {
-  const PairwiseVoter voter;
-  const PopulationEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 1000000;
-  EnvironmentModel model;
-  model.source_flip_rounds = {5};
-  Rng rng(80);
-  auto population = engine.make_population(32, Opinion::kOne, 16);
-  const RunResult result = engine.run(population, rule, model, rng);
-  EXPECT_TRUE(result.converged());
-  EXPECT_EQ(result.unit, TimeUnit::kActivations);
-  EXPECT_EQ(result.ticks, result.rounds() * 32);
-  ASSERT_EQ(result.recoveries.size(), 2u);
-  EXPECT_TRUE(result.recoveries.back().recovered);
-  // The flip re-targeted correct to kZero; the run ended there.
-  EXPECT_EQ(result.final_config.correct, Opinion::kZero);
-}
-
-TEST(RunLoopFaults, PopulationZealotSlotsStayFrozen) {
-  const PairwiseVoter voter;
-  const PopulationEngine engine(voter);
-  StopRule rule;
-  rule.max_rounds = 1000000;
-  EnvironmentModel model;
-  model.extra_zealots = 2;
-  model.convergence_quorum = 0.8;
-  Rng rng(81);
-  auto population = engine.make_population(16, Opinion::kOne, 8);
-  const RunResult result = engine.run(population, rule, model, rng);
-  EXPECT_TRUE(result.converged());
-  // Zealots pin the initially wrong opinion (kZero -> the last slots).
-  EXPECT_EQ(voter.opinion(population.states[15]), Opinion::kZero);
-  EXPECT_EQ(voter.opinion(population.states[14]), Opinion::kZero);
-  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-}
 
 TEST(RunLoopTrajectory, PopulationRunRecordsPerParallelRound) {
   const EpidemicProtocol epidemic;
@@ -288,6 +129,8 @@ TEST(RunLoopTrajectory, PopulationRunRecordsPerParallelRound) {
   Trajectory trajectory;
   const RunResult result = engine.run(population, rule, rng, &trajectory);
   EXPECT_TRUE(result.converged());
+  EXPECT_EQ(result.unit, TimeUnit::kActivations);
+  EXPECT_EQ(result.ticks, result.rounds() * 64);
   ASSERT_FALSE(trajectory.empty());
   EXPECT_EQ(trajectory.points().front().round, 0u);
   EXPECT_EQ(trajectory.back().round, result.rounds());

@@ -42,32 +42,11 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt(std::int64_t{-7}), "-7");
 }
 
-TEST(Sweep, GeometricGridCoversRange) {
-  const auto grid = geometric_grid(10, 1000, 10.0);
-  ASSERT_EQ(grid.size(), 3u);
-  EXPECT_EQ(grid.front(), 10u);
-  EXPECT_EQ(grid.back(), 1000u);
-}
-
-TEST(Sweep, GeometricGridAlwaysIncludesHi) {
-  const auto grid = geometric_grid(10, 95, 3.0);
-  EXPECT_EQ(grid.back(), 95u);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    EXPECT_GT(grid[i], grid[i - 1]);
-  }
-}
-
 TEST(Sweep, PowerOfTwoGrid) {
   const auto grid = power_of_two_grid(4, 7);
   ASSERT_EQ(grid.size(), 4u);
   EXPECT_EQ(grid[0], 16u);
   EXPECT_EQ(grid[3], 128u);
-}
-
-TEST(Sweep, LinearGrid) {
-  const auto grid = linear_grid(2, 10, 4);
-  ASSERT_EQ(grid.size(), 3u);
-  EXPECT_EQ(grid[1], 6u);
 }
 
 TEST(Cli, ParsesAllOptions) {

@@ -267,6 +267,15 @@ TEST(Checkpointer, TakeResumeMatchesOrdinalAndTagOnce) {
   EXPECT_NE(reader.take_resume(1, "aggregate"), nullptr);
   EXPECT_EQ(reader.take_resume(1, "aggregate"), nullptr);  // One-shot.
   EXPECT_EQ(reader.resumed_runs(), 1u);
+
+  // A snapshot whose tag no stepper carries (`sequential.faulty`) is refused
+  // by the sequential engine's own tag, not half-restored.
+  snap.engine_tag = "sequential.faulty";
+  ASSERT_TRUE(writer.write(snap));
+  snapshot::Checkpointer stale(options);
+  ASSERT_TRUE(stale.load_resume("auto"));
+  EXPECT_EQ(stale.take_resume(1, "sequential"), nullptr);
+  EXPECT_EQ(stale.resumed_runs(), 0u);
 }
 
 // --- Deterministic resume: the acceptance property ------------------------

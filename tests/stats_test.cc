@@ -85,20 +85,6 @@ TEST(Quantiles, EmptyGivesNaN) {
   EXPECT_TRUE(std::isnan(quantile(std::vector<double>{}, 0.5)));
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(0.5);    // bin 0
-  hist.add(9.5);    // bin 4
-  hist.add(-3.0);   // clamped to bin 0
-  hist.add(42.0);   // clamped to bin 4
-  hist.add(5.0);    // bin 2
-  EXPECT_EQ(hist.counts[0], 2u);
-  EXPECT_EQ(hist.counts[2], 1u);
-  EXPECT_EQ(hist.counts[4], 2u);
-  EXPECT_EQ(hist.total(), 5u);
-  EXPECT_DOUBLE_EQ(hist.fraction(0), 0.4);
-}
-
 TEST(Bootstrap, MeanCiCoversTruth) {
   Rng rng(2);
   std::vector<double> values;

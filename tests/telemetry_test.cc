@@ -345,8 +345,6 @@ std::uint64_t all_engines_digest() {
     const Configuration small = init_half(256, Opinion::kOne);
     Rng rng(107);
     digest.fold_result(engine.run(small, short_rule, rng));
-    Rng faulty_rng(108);
-    digest.fold_result(engine.run(small, short_rule, faults, faulty_rng));
   }
   return digest.value();
 }
@@ -367,7 +365,7 @@ TEST(TelemetryDeterminism, RuntimeSinkDoesNotPerturbAnyEngine) {
 // The pin every build (Release, sanitizers, bench) asserts, with and
 // without sinks. If an intentional engine change shifts the value, update
 // it from the test's failure output.
-constexpr std::uint64_t kGoldenAllEnginesDigest = 15000701221148159086ull;
+constexpr std::uint64_t kGoldenAllEnginesDigest = 2484036827943372674ull;
 
 TEST(TelemetryDeterminism, GoldenPayloadDigestMatchesAcrossBuilds) {
   EXPECT_EQ(all_engines_digest(), kGoldenAllEnginesDigest)

@@ -123,7 +123,7 @@ def render_breakdown(report):
                 and isinstance(decide, (int, float)) and decide > 0):
             lines.append(
                 f"  gather/decide wall ratio: {gather / decide:.2f} "
-                f"(ROADMAP item 1 tracks gather dominance)"
+                f"(the vector index gathers exist to cut this)"
             )
     return lines
 
