@@ -1,7 +1,7 @@
 // bench_topology — the structured-topology trajectory probe (registered as a
 // ctest, see bench/CMakeLists.txt).
 //
-// Two phases, one BENCH_topology.json:
+// Three phases, one BENCH_topology.json:
 //
 //   (a) spread: the Minority(3) dynamics on the sharded engine over every
 //       generator family (complete baseline, ring, 2-d torus, random
@@ -17,10 +17,14 @@
 //       duality of bench_thm2_voter_upper, extended off the complete graph
 //       (the distribution-level KS check lives in
 //       tests/engine_topology_test.cc; this phase records the means).
+//   (c) generators: what each generator's set-up costs at n = 2^20 (2^14
+//       under --quick): build seconds, the median of three fresh builds,
+//       and the CSR it returns.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -129,6 +133,36 @@ std::uint64_t ring_voter_consensus_time(const AgentParallelEngine& engine,
     engine.step(population, rng);
   }
   return cap;
+}
+
+// One generator's set-up: the median of three fresh builds (the previous
+// graph freed first, so each build starts from the same heap) and the CSR
+// the build returns.
+struct GeneratorRow {
+  std::string graph;
+  std::uint64_t edges = 0;
+  double csr_mb = 0.0;
+  double build_s = 0.0;
+};
+
+GeneratorRow measure_generator(const std::function<Topology()>& build) {
+  std::vector<double> seconds;
+  Topology topo;
+  for (int rep = 0; rep < 3; ++rep) {
+    topo = Topology();
+    const auto start = std::chrono::steady_clock::now();
+    topo = build();
+    seconds.push_back(seconds_since(start));
+  }
+  std::sort(seconds.begin(), seconds.end());
+  GeneratorRow row;
+  row.graph = topo.describe();
+  row.edges = topo.edge_count();
+  row.csr_mb = static_cast<double>(topo.offsets().size() * 8 +
+                                   topo.adjacency().size() * 4) /
+               (1024.0 * 1024.0);
+  row.build_s = seconds[1];
+  return row;
 }
 
 int run(const BenchOptions& options, FlightRecorderScope&,
@@ -242,6 +276,38 @@ int run(const BenchOptions& options, FlightRecorderScope&,
       "absorbed at the source — the means must track (KS check in\n"
       "tests/engine_topology_test.cc).\n");
 
+  // --- Phase (c): generator set-up. ---------------------------------------
+  const std::uint64_t gen_n = options.quick ? (1u << 14) : (1u << 20);
+  const std::uint32_t gen_side =
+      static_cast<std::uint32_t>(std::llround(std::sqrt(double(gen_n))));
+  const std::uint64_t gen_seed = options.seed;
+  const std::function<Topology()> generators[] = {
+      [&] { return Topology::ring(gen_n); },
+      [&] { return Topology::torus(gen_side, 2); },
+      [&] { return Topology::random_regular(gen_n, degree, gen_seed + 101); },
+      [&] {
+        return Topology::erdos_renyi(
+            gen_n, 16.0 / static_cast<double>(gen_n), gen_seed + 202);
+      },
+      [&] { return Topology::barabasi_albert(gen_n, degree, gen_seed + 8); },
+  };
+  const auto generator_start = std::chrono::steady_clock::now();
+  std::vector<GeneratorRow> generator_rows;
+  for (const auto& build : generators) {
+    generator_rows.push_back(measure_generator(build));
+  }
+  const double generator_seconds = seconds_since(generator_start);
+  Table generator_table({"graph", "edges", "CSR MB", "build s"});
+  for (const GeneratorRow& row : generator_rows) {
+    generator_table.add_row({row.graph, Table::fmt(row.edges),
+                             Table::fmt(row.csr_mb, 2),
+                             Table::fmt(row.build_s, 4)});
+  }
+  generator_table.print(std::cout);
+  std::printf(
+      "\nbuild s: median of three fresh builds; every generator builds its\n"
+      "CSR in place (DESIGN.md 3.10).\n");
+
   // --- Report. ------------------------------------------------------------
   JsonValue benchmarks = JsonValue::array();
   for (const SpreadRow& row : rows) {
@@ -276,10 +342,23 @@ int run(const BenchOptions& options, FlightRecorderScope&,
   duality.set("censored", JsonValue(std::int64_t{censored}));
   reporter.set_extra("ring_duality", std::move(duality));
 
+  JsonValue generator_json = JsonValue::array();
+  for (const GeneratorRow& row : generator_rows) {
+    JsonValue json = JsonValue::object();
+    json.set("graph", JsonValue(row.graph));
+    json.set("edges", JsonValue(row.edges));
+    json.set("csr_mb", JsonValue(row.csr_mb));
+    json.set("build_s", JsonValue(row.build_s));
+    generator_json.push_back(std::move(json));
+  }
+  reporter.set_extra("generators", std::move(generator_json));
+
   reporter.add_phase("spread", spread_seconds);
   reporter.add_phase("voter_dual", dual_seconds);
+  reporter.add_phase("generators", generator_seconds);
   reporter.add_table("topology_spread", spread_table);
   reporter.add_table("ring_duality", dual_table);
+  reporter.add_table("generators", generator_table);
   return 0;
 }
 

@@ -199,26 +199,32 @@ class Topology {
   // The CSR builder's input: each undirected edge once, in the row of its
   // larger endpoint. Row v holds v's neighbours below v, strictly
   // ascending; rows are concatenated in v order and count[v] is row v's
-  // length.
+  // length. `neighbors` is the vector the adjacency ends in: a generator
+  // reserves room for two entries per edge, appends its rows, and frees its
+  // own arrays before the build, so no second copy of the edges is held.
   struct LowerRows {
     std::vector<std::uint32_t> count;
     std::vector<std::uint32_t> neighbors;
   };
-  // The one CSR builder. It counts degrees, copies each lower row into
-  // place, then appends every upper neighbour in one v-ascending transpose,
-  // so each row comes out sorted (its lower run, then its upper neighbours)
-  // with no sort. Asserts that every lower row is strictly ascending and
-  // below its row index, which rejects self-loops, duplicate edges and
-  // out-of-order rows. Precomputes degree bounds.
+  // The one CSR builder. It counts degrees, then expands the lower rows in
+  // place: the list moves to the back half of the 2E-entry adjacency, and
+  // one v-ascending pass appends v to the row of each lower neighbour and
+  // moves row v's lower run to the start of row v. Row v starts at
+  // 2 lo(v) + B(v) <= E + lo(v), where lo(v) counts the edges below v and
+  // B(v) those with one endpoint below v, so every write lands below the
+  // list entries still to be read. Each row comes out sorted (its lower
+  // run, then its upper neighbours) with no sort and no second buffer.
+  // Asserts that every lower row is strictly ascending and below its row
+  // index, which rejects self-loops, duplicate edges and out-of-order rows.
+  // Precomputes degree bounds.
   static Topology from_lower_rows(GraphKind kind, std::uint64_t n,
-                                  const LowerRows& rows);
-  // Adapter for generators that emit edges in no particular order: buckets
-  // each pair under its larger endpoint, sorts each bucket into a lower row
+                                  LowerRows&& rows);
+  // Adapter for generators that emit edges in no particular order: edge e
+  // is (endpoints[2e], endpoints[2e + 1]). Buckets each edge under its
+  // larger endpoint, frees the list, sorts each bucket into a lower row
   // and hands the rows to from_lower_rows (and so to its checks).
   static Topology from_edges(GraphKind kind, std::uint64_t n,
-                             const std::vector<std::pair<std::uint32_t,
-                                                         std::uint32_t>>&
-                                 edges);
+                             std::vector<std::uint32_t> endpoints);
   void finalize_degrees() noexcept;
   std::uint64_t hash_csr() const noexcept;
 

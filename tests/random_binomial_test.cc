@@ -5,6 +5,7 @@
 #include <iterator>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "random/binomial.h"
@@ -207,6 +208,49 @@ std::uint64_t reference_binv(Rng& rng, std::uint64_t n, double p) {
   }
 }
 
+// BTRS as one self-contained function, its set-up recomputed on every
+// call: the slow oracle for the BTRS draws of binomial() and BinomialTable,
+// which a table that keeps its set-up must reproduce.
+double reference_stirling(double k) {
+  static constexpr double kTable[] = {
+      0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
+      0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
+      0.01189670994589177, 0.01041126526197209, 0.00925546218271273,
+      0.00833056343336287};
+  if (k < 10.0) return kTable[static_cast<int>(k)];
+  const double kp1sq = (k + 1.0) * (k + 1.0);
+  return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) / (k + 1.0);
+}
+
+std::uint64_t reference_btrs(Rng& rng, std::uint64_t n, double p) {
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double stddev = std::sqrt(nd * p * q);
+  const double b = 1.15 + 2.53 * stddev;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  const double r = p / q;
+  const double alpha = (2.83 + 5.1 / b) * stddev;
+  const double m = std::floor((nd + 1.0) * p);
+  while (true) {
+    const double u = rng.next_double() - 0.5;
+    double v = rng.next_double();
+    const double us = 0.5 - std::abs(u);
+    const double kd = std::floor((2.0 * a / us + b) * u + c);
+    if (kd < 0.0 || kd > nd) continue;
+    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
+    v = std::log(v * alpha / (a / (us * us) + b));
+    const double upper =
+        (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
+        (nd + 1.0) * std::log((nd - m + 1.0) / (nd - kd + 1.0)) +
+        (kd + 0.5) * std::log(r * (nd - kd + 1.0) / (kd + 1.0)) +
+        reference_stirling(m) + reference_stirling(nd - m) -
+        reference_stirling(kd) - reference_stirling(nd - kd);
+    if (v <= upper) return static_cast<std::uint64_t>(kd);
+  }
+}
+
 std::uint64_t reference_binomial(Rng& rng, std::uint64_t n, double p) {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
@@ -214,7 +258,7 @@ std::uint64_t reference_binomial(Rng& rng, std::uint64_t n, double p) {
   if (static_cast<double>(n) * p < binomial_detail::kInversionThreshold) {
     return reference_binv(rng, n, p);
   }
-  return binomial_detail::btrs(rng, n, p);
+  return reference_btrs(rng, n, p);
 }
 
 TEST(BinomialTable, DrawsEqualBinomialDrawForDraw) {
@@ -251,6 +295,32 @@ TEST(BinomialTable, DrawsEqualBinomialDrawForDraw) {
         EXPECT_GT(past_prefix, 100) << "n=" << n;
       }
     }
+  }
+}
+
+TEST(BinomialTable, RejectionRegimeDrawsEqualBinomialForAMillionDraws) {
+  // BTRS points: the kernel's 64-agent fault words at the default
+  // spontaneous bias 1/2 and at p = 0.3 and its mirror 0.7, the regime
+  // boundary's first BTRS point (n p = 10), and a large n. Draw for draw,
+  // and the same Rng state after, the table against binomial() and the
+  // per-call oracle.
+  const std::pair<std::uint64_t, double> kPoints[] = {
+      {64, 0.5}, {64, 0.3}, {64, 0.7}, {64, 10.0 / 64}, {1000000, 0.5},
+      {1000000, 0.8}};
+  for (const auto& [n, p] : kPoints) {
+    const BinomialTable table(n, p);
+    Rng a(0xb7b5 + n);
+    Rng b(0xb7b5 + n);
+    Rng c(0xb7b5 + n);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      const std::uint64_t k = table.draw(a);
+      mismatches += k != binomial(b, n, p) ? 1 : 0;
+      mismatches += k != reference_binomial(c, n, p) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n << " p=" << p;
+    EXPECT_EQ(a.state(), b.state()) << "n=" << n << " p=" << p;
+    EXPECT_EQ(a.state(), c.state()) << "n=" << n << " p=" << p;
   }
 }
 
